@@ -18,7 +18,7 @@ WORKSPACE_ITERS ?= 60
 FUZZ_LONG_ITERS ?= 20000
 COVERAGE_MIN ?= 80
 
-.PHONY: install test metrics-smoke docs-check layering-check fuzz fuzz-long mutation-smoke coverage bench bench-edits bench-faults bench-load bench-load-smoke bench-collab bench-search bench-trend figures examples all clean
+.PHONY: install test metrics-smoke docs-check layering-check fuzz fuzz-long mutation-smoke coverage bench bench-ledger bench-edits bench-faults bench-load bench-load-smoke bench-collab bench-search bench-trend figures examples all clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -54,6 +54,12 @@ docs-check:       ## verify docs citations (metrics, module paths, files) agains
 
 bench:            ## timings only (shape assertions skipped)
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+bench-ledger:     ## end-to-end ledger: the three BENCHMARK.json workloads, then the harness's own tests
+	$(PYTHON) perfbench/run.py --workload edit-large --seed 101 --seconds 25
+	$(PYTHON) perfbench/run.py --workload workspace-cold --seed 101 --seconds 25
+	$(PYTHON) perfbench/run.py --workload fleet-socket --seed 101 --seconds 25
+	$(PYTHON) -m pytest perfbench -q
 
 bench-edits:      ## edit-throughput sweep -> BENCH_edit_throughput.json
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_edit_throughput.py

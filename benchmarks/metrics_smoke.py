@@ -25,7 +25,7 @@ SIDECAR = pathlib.Path(__file__).parent / "results" / "metrics-smoke.json"
 #: counters that must be populated after the workload below
 REQUIRED_NONZERO = (
     "crypto.aes.calls",
-    "crypto.aes.batch_calls",
+    "crypto.aes.encrypt_calls",
     "doc.blocks_reencrypted",
     "doc.deltas",
     "index.node_visits",
@@ -69,9 +69,9 @@ def main() -> int:
               file=sys.stderr)
         return 1
 
-    # Direction-split parity: every AES invocation is exactly one encrypt
-    # or one decrypt, on both the scalar and the batch path, so the split
-    # counters must sum to the total no matter how calls were batched.
+    # Direction-split parity: every AES block is exactly one encrypt or
+    # one decrypt, per-block and bulk calls alike, so the split counters
+    # must sum to the total no matter how blocks were grouped into calls.
     counters = sidecar["counters"]
     total = counters.get("crypto.aes.calls", 0)
     split = (counters.get("crypto.aes.encrypt_calls", 0)

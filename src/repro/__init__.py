@@ -19,7 +19,7 @@ Quick start::
 
 Layer map (bottom-up):
 
-* :mod:`repro.crypto` — AES from scratch, batched ECB, random sources;
+* :mod:`repro.crypto` — OpenSSL AES (pure-Python oracle), random sources;
 * :mod:`repro.encoding` — Base32, form encoding, the record wire format;
 * :mod:`repro.datastructures` — IndexedSkipList / IndexedAVL;
 * :mod:`repro.core` — deltas, keys, the rECB and RPC schemes,

@@ -456,13 +456,13 @@ class EncryptedDocument(ABC):
         pre-cipher block images (``_prepare_span``).  Phase 2 encrypts
         the concatenation of every staged image (plus the checksum
         image, for schemes that keep one) in a single ``encrypt_many``,
-        so a coalesced multi-span burst crosses the batched-AES
-        threshold that per-span calls never reached, then patches the
-        records back into the already-spliced metas and builds the
-        cdelta.  ECB independence plus the buffered DRBG's
-        draw-order-only dependence make the output bytes identical to
-        the per-span path (``_coalesce_ciphers = False``, kept as the
-        reference for the fuzz differential).
+        so a coalesced multi-span burst costs one cipher call instead
+        of one per span, then patches the records back into the
+        already-spliced metas and builds the cdelta.  ECB independence
+        plus the buffered DRBG's draw-order-only dependence make the
+        output bytes identical to the per-span path
+        (``_coalesce_ciphers = False``, kept as the reference for the
+        fuzz differential).
         """
         gap = max(16, 2 * self._block_chars)
         clusters = _cluster_edits(edits, gap)

@@ -55,8 +55,7 @@ class BlockCodec(ABC):
 
         The coalesced-update path concatenates every touched span's
         ``prepare_*`` output (plus the checksum image, for schemes that
-        keep one) and encrypts it here in a single call, which is what
-        lets a multi-span burst reach the batched AES path.
+        keep one) and encrypts it here in a single call.
         """
         return self._cipher.encrypt_many(plain)
 

@@ -1,4 +1,4 @@
-"""Cryptographic substrate: AES from scratch, batch ECB, random sources.
+"""Cryptographic substrate: OpenSSL AES, its pure-Python oracle, random sources.
 
 The incremental encryption schemes (:mod:`repro.core`) sit on top of
 this package.  A known-answer self-test runs once at import time so a

@@ -1,8 +1,11 @@
-"""AES block cipher implemented from scratch (FIPS-197).
+"""AES block cipher implemented from scratch (FIPS-197): the oracle.
 
-The 2011 prototype used the Stanford JavaScript AES library [33]; no
-third-party crypto package is assumed here, so this module provides the
-cipher the incremental-encryption schemes are built on.
+The cipher that runs is :class:`repro.crypto.blockcipher.AesCipher`,
+the installed OpenSSL's AES, much as the 2011 prototype used the
+Stanford JavaScript AES library [33].  This module is the independent
+reference it is checked against: the import-time known-answer self-test
+(``repro.crypto.selftest``) and the differential unit tests run both
+and require identical bytes.
 
 Implementation notes
 --------------------
@@ -10,30 +13,17 @@ Implementation notes
   the affine transform) rather than pasted in, and is checked against
   known values by ``repro.crypto.selftest``.
 * Encryption and decryption use the classic four "T-table" formulation:
-  each round is 16 table lookups and 16 XORs, which is the fastest
-  arrangement available to pure Python.
+  each round is 16 table lookups and 16 XORs.
 * Key sizes 128/192/256 are supported; the schemes default to AES-128
   exactly as the paper assumes a 2^128 key search space.
-
-For bulk jobs (encrypting a whole document at once) prefer
-:mod:`repro.crypto.aes_batch`, which evaluates the same T-tables over
-NumPy arrays of blocks.
 """
 
 from __future__ import annotations
 
 from repro.errors import BlockSizeError, KeySizeError
-from repro.obs import counter
 
 BLOCK_SIZE = 16
 _ROUNDS_BY_KEYLEN = {16: 10, 24: 12, 32: 14}
-
-#: total block-cipher invocations (scalar + batched), the sub-linearity
-#: tests' primary observable
-_AES_CALLS = counter("crypto.aes.calls")
-_AES_ENCRYPTS = counter("crypto.aes.encrypt_calls")
-_AES_DECRYPTS = counter("crypto.aes.decrypt_calls")
-_KEY_SCHEDULES = counter("crypto.aes.key_schedules")
 
 # ---------------------------------------------------------------------------
 # GF(2^8) arithmetic and S-box construction
@@ -210,9 +200,7 @@ class AES:
     """AES in raw block (ECB-of-one-block) form.
 
     This object is deliberately low level: it encrypts exactly one
-    16-byte block at a time.  Modes of operation live in the incremental
-    encryption schemes themselves (rECB and RPC build their own block
-    layouts) and in :mod:`repro.crypto.blockcipher`.
+    16-byte block at a time, which is all a reference needs.
     """
 
     def __init__(self, key: bytes):
@@ -220,7 +208,6 @@ class AES:
         self._dk = expand_key_decrypt(self._ek)
         self._rounds = len(self._ek) // 4 - 1
         self.key_size = len(key)
-        _KEY_SCHEDULES.inc()
 
     # -- encryption ---------------------------------------------------
 
@@ -230,8 +217,6 @@ class AES:
             raise BlockSizeError(
                 f"AES block must be 16 bytes, got {len(block)}"
             )
-        _AES_CALLS.inc()
-        _AES_ENCRYPTS.inc()
         ek = self._ek
         te0, te1, te2, te3 = TE
         sbox = SBOX
@@ -274,8 +259,6 @@ class AES:
             raise BlockSizeError(
                 f"AES block must be 16 bytes, got {len(block)}"
             )
-        _AES_CALLS.inc()
-        _AES_DECRYPTS.inc()
         dk = self._dk
         td0, td1, td2, td3 = TD
         inv = INV_SBOX

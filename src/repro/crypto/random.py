@@ -6,10 +6,10 @@ Two implementations are provided:
 * :class:`SystemRandomSource` — wraps ``os.urandom``; what a deployment
   uses ("we assume ... a good source of cryptographic random numbers",
   SVI-A).
-* :class:`DeterministicRandomSource` — an AES-CTR DRBG built on our own
-  cipher.  Seeded runs make every experiment, test, and attack scenario
-  exactly reproducible, which the benchmarks and the security harness
-  rely on.
+* :class:`DeterministicRandomSource` — an AES-CTR DRBG built on
+  :class:`~repro.crypto.blockcipher.AesCipher` (OpenSSL AES).  Seeded
+  runs make every experiment, test, and attack scenario exactly
+  reproducible, which the benchmarks and the security harness rely on.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import os
 from typing import Protocol, runtime_checkable
 
-from repro.crypto.aes import AES, BLOCK_SIZE
+from repro.crypto.blockcipher import BLOCK_SIZE, AesCipher
 
 
 @runtime_checkable
@@ -40,8 +40,8 @@ class SystemRandomSource:
 class DeterministicRandomSource:
     """AES-CTR deterministic random bit generator.
 
-    The generator key is derived from the seed by encrypting two fixed
-    blocks under an all-seed key; output is the AES-CTR keystream.  This
+    The generator key is derived from the seed by encrypting one fixed
+    block under an all-seed key; output is the AES-CTR keystream.  This
     is a test/benchmark facility — it is deterministic *by design* and
     must never back a real deployment's nonces.
     """
@@ -52,9 +52,8 @@ class DeterministicRandomSource:
                 (-seed).to_bytes(16, "big")
             )
         seed = (seed * (BLOCK_SIZE // len(seed) + 1))[:BLOCK_SIZE] if seed else bytes(BLOCK_SIZE)
-        bootstrap = AES(seed)
-        key = bootstrap.encrypt_block(bytes(BLOCK_SIZE))
-        self._aes = AES(key)
+        key = AesCipher(seed).encrypt_block(bytes(BLOCK_SIZE))
+        self._cipher = AesCipher(key)
         self._counter = 0
         self._buffer = b""
 
@@ -68,15 +67,7 @@ class DeterministicRandomSource:
                 for i in range(nblocks)
             )
             self._counter += nblocks
-            if nblocks >= 16:
-                from repro.crypto import aes_batch
-                keystream = aes_batch.encrypt_blocks(self._aes, counters)
-            else:
-                keystream = b"".join(
-                    self._aes.encrypt_block(counters[i : i + BLOCK_SIZE])
-                    for i in range(0, len(counters), BLOCK_SIZE)
-                )
-            self._buffer += keystream
+            self._buffer += self._cipher.encrypt_many(counters)
         out, self._buffer = self._buffer[:nbytes], self._buffer[nbytes:]
         return out
 
@@ -88,5 +79,5 @@ class DeterministicRandomSource:
         a consumer never perturbs another consumer's draws.
         """
         material = label.ljust(BLOCK_SIZE, b"\x00")[:BLOCK_SIZE]
-        child_seed = self._aes.encrypt_block(material)
+        child_seed = self._cipher.encrypt_block(material)
         return DeterministicRandomSource(child_seed)

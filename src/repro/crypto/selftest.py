@@ -1,17 +1,19 @@
-"""Known-answer self-tests for the cipher core.
+"""Known-answer self-tests for the cipher and its oracle.
 
 Run automatically on first import of :mod:`repro.crypto` (cheap — a
-handful of blocks) so no scheme can silently run on a mis-built S-box or
-T-table.  The same vectors are exercised, much more broadly, in the unit
-tests.
+handful of blocks) so no scheme can silently run on a cipher that does
+not compute AES: the FIPS-197 vectors must come out of both the OpenSSL
+:class:`~repro.crypto.blockcipher.AesCipher` and the pure-Python
+:class:`~repro.crypto.aes.AES` it is checked against.  The same vectors
+are exercised, much more broadly, in the unit tests.
 """
 
 from __future__ import annotations
 
 import binascii
 
-from repro.crypto import aes_batch
 from repro.crypto.aes import AES, INV_SBOX, SBOX
+from repro.crypto.blockcipher import AesCipher
 from repro.errors import CryptoError
 
 _h = binascii.unhexlify
@@ -39,15 +41,10 @@ def run_selftest() -> None:
         raise CryptoError("inverse S-box is not the inverse of the S-box")
 
     for key_hex, ct_hex in FIPS_197_VECTORS:
-        cipher = AES(_h(key_hex))
-        ct = cipher.encrypt_block(_FIPS_PLAINTEXT)
-        if ct != _h(ct_hex):
-            raise CryptoError(f"AES-{len(key_hex) * 4} known-answer failure")
-        if cipher.decrypt_block(ct) != _FIPS_PLAINTEXT:
-            raise CryptoError(f"AES-{len(key_hex) * 4} decrypt failure")
-        # Batched path must agree with the scalar path.
-        doubled = _FIPS_PLAINTEXT * 2
-        if aes_batch.encrypt_blocks(cipher, doubled) != ct * 2:
-            raise CryptoError("batched AES disagrees with scalar AES")
-        if aes_batch.decrypt_blocks(cipher, ct * 2) != doubled:
-            raise CryptoError("batched AES decrypt disagrees with scalar")
+        for cipher in (AesCipher(_h(key_hex)), AES(_h(key_hex))):
+            name = f"{type(cipher).__name__}-{len(key_hex) * 4}"
+            ct = cipher.encrypt_block(_FIPS_PLAINTEXT)
+            if ct != _h(ct_hex):
+                raise CryptoError(f"{name} known-answer failure")
+            if cipher.decrypt_block(ct) != _FIPS_PLAINTEXT:
+                raise CryptoError(f"{name} decrypt failure")

@@ -4,7 +4,9 @@ The Google Documents save protocol carries everything in form-encoded
 POST bodies (``docContents=...&delta=...``); the mediator has to decode
 exactly what the client encoded and re-encode what it rewrites, so the
 codec is implemented here rather than assumed (the JS prototype used
-``encodeURIComponent``/``decodeURIComponent``/``unescape``).
+``encodeURIComponent``/``decodeURIComponent``/``unescape``).  Decoding
+is strict: a malformed escape or invalid UTF-8 is a
+:class:`ProtocolError`, never a silently altered field.
 """
 
 from __future__ import annotations
@@ -17,20 +19,20 @@ _UNRESERVED = set(
     "0123456789-_.~*"
 )
 _HEX = "0123456789ABCDEF"
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 
-def quote(text: str, plus_spaces: bool = True) -> str:
+def quote(text: str) -> str:
     """Percent-encode ``text`` for use in a form body.
 
-    Spaces become ``+`` when ``plus_spaces`` (form convention); every
-    other byte outside the unreserved set becomes ``%XX`` over its UTF-8
-    encoding.
+    Spaces become ``+`` (form convention); every other byte outside the
+    unreserved set becomes ``%XX`` over its UTF-8 encoding.
     """
     out: list[str] = []
     for ch in text:
         if ch in _UNRESERVED:
             out.append(ch)
-        elif ch == " " and plus_spaces:
+        elif ch == " ":
             out.append("+")
         else:
             for byte in ch.encode("utf-8"):
@@ -38,8 +40,8 @@ def quote(text: str, plus_spaces: bool = True) -> str:
     return "".join(out)
 
 
-def unquote(text: str, plus_spaces: bool = True) -> str:
-    """Invert :func:`quote`."""
+def unquote(text: str) -> str:
+    """Invert :func:`quote` (``%20`` decodes to a space as well)."""
     out = bytearray()
     i = 0
     n = len(text)
@@ -48,14 +50,13 @@ def unquote(text: str, plus_spaces: bool = True) -> str:
         if ch == "%":
             if i + 3 > n:
                 raise ProtocolError(f"truncated percent escape in {text[i:]!r}")
-            try:
-                out.append(int(text[i + 1 : i + 3], 16))
-            except ValueError:
-                raise ProtocolError(
-                    f"invalid percent escape {text[i:i + 3]!r}"
-                ) from None
+            # exactly two hex digits: int(x, 16) alone would also take
+            # a sign or whitespace ("%+1", "% f")
+            if text[i + 1] not in _HEX_DIGITS or text[i + 2] not in _HEX_DIGITS:
+                raise ProtocolError(f"invalid percent escape {text[i:i + 3]!r}")
+            out.append(int(text[i + 1 : i + 3], 16))
             i += 3
-        elif ch == "+" and plus_spaces:
+        elif ch == "+":
             out.append(0x20)
             i += 1
         else:

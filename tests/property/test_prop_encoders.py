@@ -52,8 +52,10 @@ class TestFormEncoding:
         assert formenc.unquote(formenc.quote(text)) == text
 
     def test_quote_no_plus_round_trip(self, text):
-        quoted = formenc.quote(text, plus_spaces=False)
-        assert formenc.unquote(quoted, plus_spaces=False) == text
+        """Spaces written as ``%20`` (``encodeURIComponent`` style)
+        decode as well as ``+``."""
+        quoted = formenc.quote(text).replace("+", "%20")
+        assert formenc.unquote(quoted) == text
 
     def test_quoted_text_is_wire_safe(self, text):
         """Quoted values may not contain the form metacharacters that

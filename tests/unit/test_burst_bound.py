@@ -1,4 +1,4 @@
-"""Regression bound: one coalesced burst costs one batched cipher call.
+"""Regression bound: one coalesced burst costs one bulk cipher call.
 
 This is the whole point of the coalescing layer — a burst of N
 keystrokes used to cost N scalar IncE passes, and must now cost exactly
@@ -8,8 +8,8 @@ invocation counters may not move by more than the bound, ever, or the
 client scaling curve silently collapses back to flat.
 
 The document is built over a cipher-free stub RNG so nonce-buffer
-refills (which legitimately route through the batch path) cannot blur
-the accounting.
+refills (which legitimately call the cipher too) cannot blur the
+accounting.
 """
 
 import pytest
@@ -37,7 +37,22 @@ class _CountingRng:
 
 def _aes_snap() -> dict[str, int]:
     return {name: value_of(f"crypto.aes.{name}")
-            for name in ("calls", "batch_calls", "encrypt_calls")}
+            for name in ("calls", "encrypt_calls")}
+
+
+def _count_bulk_calls(doc) -> list[int]:
+    """Record the block count of every ``encrypt_many`` on ``doc``'s
+    cipher from now on."""
+    cipher = doc._codec._cipher
+    inner = cipher.encrypt_many
+    sizes: list[int] = []
+
+    def encrypt_many(data: bytes) -> bytes:
+        sizes.append(len(data) // 16)
+        return inner(data)
+
+    cipher.encrypt_many = encrypt_many
+    return sizes
 
 
 def _scattered_burst(doc_len: int, edits: int) -> Delta:
@@ -58,6 +73,7 @@ def test_one_batch_invocation_per_burst(scheme, suffix_blocks):
                           scheme=scheme, rng=_CountingRng())
     burst = _scattered_burst(doc.char_length, 30)
 
+    bulk_calls = _count_bulk_calls(doc)
     before = _aes_snap()
     blocks_before = value_of("doc.blocks_reencrypted")
     clusters_before = value_of("doc.clusters")
@@ -69,22 +85,22 @@ def test_one_batch_invocation_per_burst(scheme, suffix_blocks):
     assert blocks >= 30  # a scattered burst touches many blocks
 
     # THE bound: the whole burst was one encrypt_many invocation over
-    # every re-encrypted block (+ the scheme's checksum suffix), and
-    # it went down the batch path exactly once.
-    assert after["batch_calls"] - before["batch_calls"] == 1
+    # every re-encrypted block (+ the scheme's checksum suffix).
+    assert bulk_calls == [blocks + suffix_blocks]
     assert after["calls"] - before["calls"] == blocks + suffix_blocks
     assert after["encrypt_calls"] - before["encrypt_calls"] == (
         blocks + suffix_blocks)
 
 
 @pytest.mark.parametrize("scheme", ["recb", "rpc"])
-def test_small_burst_stays_scalar_but_single_pass(scheme):
-    """Below the batch threshold the scalar loop runs — still exactly
-    one AES call per re-encrypted block, and zero batch invocations."""
+def test_small_burst_is_single_pass(scheme):
+    """A two-edit burst is one bulk call too — still exactly one AES
+    block per re-encrypted block."""
     doc = create_document("abcdefgh" * 500, key_material=KEYS,
                           scheme=scheme, rng=_CountingRng())
     burst = _scattered_burst(doc.char_length, 2)
 
+    bulk_calls = _count_bulk_calls(doc)
     before = _aes_snap()
     blocks_before = value_of("doc.blocks_reencrypted")
     doc.apply_delta(burst)
@@ -92,7 +108,7 @@ def test_small_burst_stays_scalar_but_single_pass(scheme):
 
     blocks = value_of("doc.blocks_reencrypted") - blocks_before
     suffix = 1 if scheme == "rpc" else 0
-    assert after["batch_calls"] == before["batch_calls"]
+    assert bulk_calls == [blocks + suffix]
     assert after["calls"] - before["calls"] == blocks + suffix
 
 

@@ -25,18 +25,23 @@ class TestQuote:
         assert quote(text) == text
 
     def test_no_plus_mode(self):
-        assert quote("a b", plus_spaces=False) == "a%20b"
-        assert unquote("a%20b", plus_spaces=False) == "a b"
+        """``encodeURIComponent`` writes spaces as ``%20``; they decode
+        like ``+``."""
+        assert unquote("a%20b") == "a b"
 
 
 class TestUnquoteErrors:
     def test_truncated_escape(self):
-        with pytest.raises(ProtocolError):
-            unquote("abc%2")
+        for text in ("abc%2", "%", "x%f"):
+            with pytest.raises(ProtocolError, match="truncated"):
+                unquote(text)
 
     def test_invalid_hex(self):
-        with pytest.raises(ProtocolError):
-            unquote("%zz")
+        """``int(x, 16)`` would accept signs and whitespace; a percent
+        escape is exactly two hex digits."""
+        for text in ("%zz", "%+1", "% f", "%-0", "%0\n", "ok%1g", "%%41"):
+            with pytest.raises(ProtocolError, match="invalid percent"):
+                unquote(text)
 
     def test_invalid_utf8(self):
         with pytest.raises(ProtocolError):

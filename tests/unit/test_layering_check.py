@@ -195,3 +195,32 @@ def test_trusted_may_use_catalog_wire_builders(lint):
         "repro.extension.gdocs_ext",
         "from repro.services.catalog import A_AUDIT_LINK, F_INDEX\n",
     ) == []
+
+
+# -- the cipher-library rule ----------------------------------------------
+
+
+_CIPHER_LIBRARY_IMPORTS = (
+    "import ctypes\n",
+    "from ctypes import CDLL\n",
+    "import _hashlib\n",
+    "import cryptography\n",
+    "from cryptography.hazmat.primitives.ciphers import Cipher\n",
+)
+
+
+def test_cipher_library_outside_crypto_is_flagged(lint):
+    for module in ("repro.net.transport", "repro.services.catalog",
+                   "repro.client.editor", "repro.core.document"):
+        for source in _CIPHER_LIBRARY_IMPORTS:
+            problems = lint.check_source(module, source)
+            assert any("cipher library" in p for p in problems), (
+                module, source)
+
+
+def test_crypto_package_may_use_the_cipher_library(lint):
+    for module in ("repro.crypto", "repro.crypto.blockcipher"):
+        for source in _CIPHER_LIBRARY_IMPORTS:
+            assert lint.check_source(module, source) == [], (module, source)
+    # hashlib itself stays open to every layer (content hashes, PBKDF2)
+    assert lint.check_source("repro.core.keys", "import hashlib\n") == []

@@ -47,6 +47,13 @@ enforces the layering that ``docs/architecture.md`` documents:
   shared by the client (verifier) and the catalog (prover) and may
   not import ``repro.services`` — a chain primitive reaching into
   server code would let the prover pick what the verifier checks.
+* **the cipher library** (OpenSSL's libcrypto) is reached only by
+  ``repro.crypto.*``: no other module may import ``ctypes`` or
+  ``_hashlib`` (the way ``AesCipher`` binds libcrypto) or the
+  ``cryptography`` package.  Every other layer reaches AES through
+  :class:`repro.crypto.blockcipher.AesCipher`, so the existing
+  ``repro.crypto`` bans (on ``repro.net``, the OT engine, the catalog)
+  cannot be bypassed by calling the library directly.
 * as a belt-and-braces check, client/extension modules may not bind
   the server class names (``GDocsServer``, ``BespinServer``,
   ``CatalogService``, ...) via ``from ... import`` even through a
@@ -112,6 +119,11 @@ CATALOG_BANNED = ("repro.crypto",)
 #: would let the prover pick what the verifier checks.
 AUDIT_MODULE = "repro.core.auditchain"
 AUDIT_BANNED = ("repro.services",)
+
+
+#: the ways to reach OpenSSL's ciphers, used by repro.crypto alone
+CIPHER_LIBRARIES = ("ctypes", "_hashlib", "cryptography")
+CIPHER_OWNER = "repro.crypto"
 
 
 def _module_name(path: pathlib.Path) -> str:
@@ -223,6 +235,13 @@ def check_source(module: str, source: str, where: str = "<source>"
                         f"prover; pulling in server code would let the "
                         f"prover pick what the verifier checks"
                     )
+        if (any(_covers(imported, lib) for lib in CIPHER_LIBRARIES)
+                and not _covers(module, CIPHER_OWNER)):
+            problems.append(
+                f"{spot}: {module} imports {imported} — only "
+                f"{CIPHER_OWNER}.* may use the cipher library; go "
+                f"through repro.crypto.blockcipher.AesCipher"
+            )
         if in_net:
             for banned in NET_BANNED:
                 if _covers(imported, banned):
