@@ -5,11 +5,11 @@ PYTHON ?= python3
 
 # differential-fuzzer budgets: FUZZ_ITERS bounds the CI run inside
 # `make test`; BURST_ITERS drives the burst profile (long keystroke
-# runs through the edit-coalescing differential); COLLAB_ITERS drives
-# the N-writer (2-16 clients) collaboration profile; WORKSPACE_ITERS
-# drives the multi-document workspace profile (encrypted search +
-# audit-chain oracles, incl. the rollback-attacking server); fuzz-long
-# runs the deep profile at FUZZ_LONG_ITERS.
+# runs replayed as coalesced bursts against a flat store);
+# COLLAB_ITERS drives the N-writer (2-16 clients) collaboration
+# profile; WORKSPACE_ITERS drives the multi-document workspace profile
+# (encrypted search + audit-chain oracles, incl. the rollback-attacking
+# server); fuzz-long runs the deep profile at FUZZ_LONG_ITERS.
 # COVERAGE_MIN is the line-coverage threshold `make coverage` enforces.
 FUZZ_ITERS ?= 2000
 BURST_ITERS ?= 400
@@ -18,7 +18,7 @@ WORKSPACE_ITERS ?= 60
 FUZZ_LONG_ITERS ?= 20000
 COVERAGE_MIN ?= 80
 
-.PHONY: install test metrics-smoke docs-check layering-check fuzz fuzz-long mutation-smoke coverage bench bench-ledger bench-edits bench-faults bench-load bench-load-smoke bench-collab bench-search bench-trend figures examples all clean
+.PHONY: install test metrics-smoke docs-check layering-check fuzz fuzz-long mutation-smoke src-lines coverage bench bench-ledger bench-edits bench-faults bench-load bench-load-smoke bench-collab bench-search bench-trend figures examples all clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -40,8 +40,11 @@ fuzz-long:        ## the deep profile at full budget, plus the slow-marked tests
 	PYTHONPATH=src $(PYTHON) -m repro fuzz --seed 0 --iters $(FUZZ_LONG_ITERS) --profile deep -v
 	PYTHONPATH=src $(PYTHON) -m pytest tests/ -m slow
 
-mutation-smoke:   ## prove the fuzz oracle catches an injected RPC-checksum bug
+mutation-smoke:   ## prove the fuzz oracle catches each injected bug in tools/mutation_smoke.py
 	$(PYTHON) tools/mutation_smoke.py
+
+src-lines:        ## total line count of src/**/*.py (track net src/ growth)
+	@find src -name '*.py' -exec cat {} + | wc -l
 
 coverage:         ## line coverage (pytest-cov when installed, else stdlib fallback)
 	$(PYTHON) tools/coverage_tool.py --min $(COVERAGE_MIN) --report

@@ -5,10 +5,9 @@ real editor accumulates typing and ships one delta per autosave.  Our
 client stack mirrors that: the :class:`EditCoalescer` journals each
 keystroke-level :class:`~repro.core.delta.Delta` and folds it into a
 single running delta with OT composition
-(:func:`repro.core.ot.compose`), so one IncE pass (and therefore one
-batched cipher call, see ``EncryptedDocument._apply_clusters``)
-re-encrypts everything the burst touched instead of paying the
-per-delta fixed costs N times.
+(:func:`repro.core.ot.compose`), so one IncE pass (see
+``EncryptedDocument._apply_clusters``) re-encrypts everything the
+burst touched instead of paying the per-delta fixed costs N times.
 
 Flush triggers are explicit, and every burst boundary is counted by
 reason so the flush policy is observable:
@@ -22,8 +21,8 @@ reason so the flush policy is observable:
 
 Composition never changes *what* is saved — the composed delta is
 semantically identical to applying the journal in order (property
-tested, and the fuzz oracle checks the composed burst wire-for-wire
-against the sequential IncE path).  ``sid:seq`` idempotency is
+tested, and the fuzz oracle replays every engine trace as composed
+bursts against a flat copy of the stored wire).  ``sid:seq`` idempotency is
 untouched: the resilient client still stamps one key per save, and a
 burst is always entirely inside one save.
 """

@@ -9,7 +9,7 @@ Each save's delta comes from a keystroke journal: every edit is folded
 into one running delta by an :class:`~repro.client.coalesce.
 EditCoalescer`, so :meth:`pending_delta` is O(burst) instead of
 re-diffing the whole document, and the burst reaches IncE as a single
-delta (one batched re-encryption pass).  When the journal cannot speak
+delta (one re-encryption pass).  When the journal cannot speak
 for the buffer — a wholesale :meth:`set_text`, or a pathologically long
 unsaved burst — it is invalidated and the buffer falls back to the
 Myers diff against the last-synced text, which is also the

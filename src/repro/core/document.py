@@ -93,16 +93,10 @@ __all__ = [
 
 @dataclass
 class BlockMeta:
-    """Client-side view of one encrypted data block.
-
-    ``record`` is None only transiently inside ``_apply_clusters``:
-    freshly prepared blocks are spliced into the index before the
-    (single, deferred) cipher call of the update, then patched with
-    their records — nothing reads ``record`` in between.
-    """
+    """Client-side view of one encrypted data block."""
 
     text: str                       #: the plaintext characters in this block
-    record: Record | None = None    #: the wire record currently storing them
+    record: Record                  #: the wire record currently storing them
     lead: bytes | None = None       #: RPC lead nonce (None for rECB)
     payload: bytes | None = None    #: RPC padded payload (None for rECB)
 
@@ -162,11 +156,6 @@ class EncryptedDocument(ABC):
     _require_nonempty_span: bool
     #: rebuild the whole ciphertext when the text becomes (or is) empty?
     _full_rewrite_on_empty: bool
-    #: encrypt all of an update's spans (and its checksum) in one
-    #: deferred cipher call.  ECB + deterministic nonce draws make the
-    #: output byte-identical to per-span calls; False forces the
-    #: per-span reference path (the fuzz differential flips this)
-    _coalesce_ciphers: bool = True
 
     def __init__(
         self,
@@ -257,19 +246,16 @@ class EncryptedDocument(ABC):
         """Parse and verify stored records, populating index and state."""
 
     @abstractmethod
-    def _prepare_span(
+    def _encrypt_span(
         self,
         old_metas: list[BlockMeta],
         chunks: list[str],
         next_lead: bytes | None,
-    ) -> tuple[bytes, list[BlockMeta]]:
-        """Stage the replacement of a contiguous block run.
+    ) -> list[BlockMeta]:
+        """Re-encrypt a contiguous block run as ``chunks``.
 
-        Draws nonces, updates scheme state, and returns ``(plain,
-        metas)``: the span's concatenated pre-cipher block images and
-        its new metas *without records* — the caller runs the cipher
-        (batched across every span of the update) and patches each
-        meta's record from the output.
+        Draws nonces, updates scheme state, and returns the new metas
+        with their records.
         """
 
     # -- inspection --------------------------------------------------------
@@ -448,21 +434,13 @@ class EncryptedDocument(ABC):
         return Delta(ops)
 
     def _apply_clusters(self, edits: list[SourceEdit]) -> Delta:
-        """Re-encrypt every edited cluster with ONE deferred cipher call.
+        """Re-encrypt each edited cluster and patch its records.
 
-        Two phases.  Phase 1 walks the clusters exactly as before —
-        locate the span, rewrite its text, draw nonces, update scheme
-        state, splice the index — but only *stages* each span's
-        pre-cipher block images (``_prepare_span``).  Phase 2 encrypts
-        the concatenation of every staged image (plus the checksum
-        image, for schemes that keep one) in a single ``encrypt_many``,
-        so a coalesced multi-span burst costs one cipher call instead
-        of one per span, then patches the records back into the
-        already-spliced metas and builds the cdelta.  ECB independence
-        plus the buffered DRBG's draw-order-only dependence make the
-        output bytes identical to the per-span path
-        (``_coalesce_ciphers = False``, kept as the reference for the
-        fuzz differential).
+        One pass over the clusters: locate the span, rewrite its text,
+        re-encrypt it (``_encrypt_span``), splice the index, and emit
+        the cluster's cdelta ops against the *old* wire — ``rank_shift``
+        maps current ranks back to old-wire positions.  Schemes that
+        keep a checksum record rewrite it once, after every span.
         """
         gap = max(16, 2 * self._block_chars)
         clusters = _cluster_edits(edits, gap)
@@ -473,10 +451,8 @@ class EncryptedDocument(ABC):
         old_data_count = len(self._index)
         rank_shift = 0  # current rank - old rank, left of the frontier
         char_shift = 0  # current char pos - old char pos, ditto
-
-        #: per cluster: (old-rank span, metas awaiting records)
-        staged: list[tuple[int, int, list[BlockMeta]]] = []
-        plain_parts: list[bytes] = []
+        ops: list[DeltaOp] = []
+        cursor = 0      # old-wire characters already consumed
 
         for cluster in clusters:
             ra, rb, old_metas = self._locate_span(cluster, char_shift)
@@ -499,7 +475,7 @@ class EncryptedDocument(ABC):
             next_lead = (
                 self._index.get(rb)[0].lead if rb < len(self._index) else None
             )
-            plain, new_metas = self._prepare_span(old_metas, chunks, next_lead)
+            new_metas = self._encrypt_span(old_metas, chunks, next_lead)
             _BLOCKS_REENCRYPTED.inc(len(new_metas))
             _BLOCKS_REPACKED.inc(rb - ra)
 
@@ -507,57 +483,26 @@ class EncryptedDocument(ABC):
                 ra, rb, ((meta, len(meta.text)) for meta in new_metas)
             )
 
-            plain_parts.append(plain)
-            staged.append((ra - rank_shift, rb - rank_shift, new_metas))
+            ra_old, rb_old = ra - rank_shift, rb - rank_shift
+            cursor = _replace_records(
+                ops, cursor,
+                base + ra_old * RECORD_CHARS,
+                base + rb_old * RECORD_CHARS,
+                [meta.record for meta in new_metas],
+            )
             rank_shift += len(new_metas) - (rb - ra)
             char_shift += len(new_text) - len(span_text)
 
-        suffix_plain = b""
         if self._suffix:
             if hasattr(self._state, "version"):
                 self._state.version += 1
-            suffix_plain = self._codec.suffix_plain(self._state)
-
-        if self._coalesce_ciphers:
-            blob = self._codec.encrypt_blob(
-                b"".join(plain_parts) + suffix_plain
+            new_suffix = self._codec.suffix(self._state)
+            suffix_old = base + old_data_count * RECORD_CHARS
+            _replace_records(
+                ops, cursor,
+                suffix_old, suffix_old + len(self._suffix) * RECORD_CHARS,
+                new_suffix,
             )
-        else:
-            blob = b"".join(
-                self._codec.encrypt_blob(part) for part in plain_parts if part
-            )
-            if suffix_plain:
-                blob += self._codec.encrypt_blob(suffix_plain)
-
-        off = 0
-        ops: list[DeltaOp] = []
-        cursor = 0      # old-wire characters already consumed
-        for ra_old, rb_old, new_metas in staged:
-            for meta in new_metas:
-                meta.record = Record(
-                    char_count=len(meta.text),
-                    block=blob[off : off + 16],
-                )
-                off += 16
-            pos_old = base + ra_old * RECORD_CHARS
-            if pos_old > cursor:
-                ops.append(Retain(pos_old - cursor))
-            if rb_old > ra_old:
-                ops.append(Delete((rb_old - ra_old) * RECORD_CHARS))
-            if new_metas:
-                ops.append(
-                    Insert(encode_records([m.record for m in new_metas]))
-                )
-            cursor = base + rb_old * RECORD_CHARS
-
-        if self._suffix:
-            new_suffix = [Record(char_count=0, block=blob[off : off + 16])]
-            off += 16
-            pos_old = base + old_data_count * RECORD_CHARS
-            if pos_old > cursor:
-                ops.append(Retain(pos_old - cursor))
-            ops.append(Delete(len(self._suffix) * RECORD_CHARS))
-            ops.append(Insert(encode_records(new_suffix)))
             self._suffix = new_suffix
 
         return Delta(ops)
@@ -618,6 +563,14 @@ class RecbDocument(EncryptedDocument):
             for chunk, record in zip(chunks, records)
         ]
 
+    def _encrypt_span(
+        self,
+        old_metas: list[BlockMeta],
+        chunks: list[str],
+        next_lead: bytes | None,
+    ) -> list[BlockMeta]:
+        return self._bulk_encrypt(chunks)
+
     def _load_records(self, records: list[Record]) -> None:
         if not records:
             raise CiphertextFormatError("rECB document missing its r0 record")
@@ -630,15 +583,6 @@ class RecbDocument(EncryptedDocument):
             (BlockMeta(text=chunk, record=record), len(chunk))
             for chunk, record in zip(texts, records[1:])
         )
-
-    def _prepare_span(
-        self,
-        old_metas: list[BlockMeta],
-        chunks: list[str],
-        next_lead: bytes | None,
-    ) -> tuple[bytes, list[BlockMeta]]:
-        plain = self._codec.prepare_chunks(self._state, chunks)
-        return plain, [BlockMeta(text=chunk) for chunk in chunks]
 
     def decrypt_char(self, index: int) -> str:
         """Random access: decrypt the single block holding character
@@ -687,11 +631,17 @@ class RpcDocument(EncryptedDocument):
         if not chunks:
             return []
         first_lead = self._rng.token(len(self._state.r0))
-        triples = self._codec.encrypt_span(
-            self._state, chunks, first_lead, self._state.r0
-        )
+        return self._chain(chunks, first_lead, self._state.r0)
+
+    def _chain(
+        self, chunks: list[str], lead_first: bytes, tail_last: bytes
+    ) -> list[BlockMeta]:
+        """Encrypt ``chunks`` as one chained run from ``lead_first`` to
+        ``tail_last`` and fold every new block into the aggregates."""
         metas: list[BlockMeta] = []
-        for chunk, (record, lead, payload) in zip(chunks, triples):
+        for chunk, (record, lead, payload) in zip(
+            chunks, self._codec.encrypt_span(chunks, lead_first, tail_last)
+        ):
             self._state.add_block(lead, payload, len(chunk))
             metas.append(
                 BlockMeta(text=chunk, record=record, lead=lead, payload=payload)
@@ -710,12 +660,12 @@ class RpcDocument(EncryptedDocument):
             for record, (chunk, lead, payload) in zip(records[1:-1], data)
         )
 
-    def _prepare_span(
+    def _encrypt_span(
         self,
         old_metas: list[BlockMeta],
         chunks: list[str],
         next_lead: bytes | None,
-    ) -> tuple[bytes, list[BlockMeta]]:
+    ) -> list[BlockMeta]:
         assert old_metas, "RPC span replacement always covers >= 1 old block"
         assert chunks, "RPC span replacement always produces >= 1 block"
         lead_first = old_metas[0].lead
@@ -724,14 +674,7 @@ class RpcDocument(EncryptedDocument):
         for meta in old_metas:
             assert meta.lead is not None and meta.payload is not None
             self._state.remove_block(meta.lead, meta.payload, len(meta.text))
-        plain, leads, payloads = self._codec.prepare_span(
-            chunks, lead_first, tail_last
-        )
-        metas: list[BlockMeta] = []
-        for chunk, lead, payload in zip(chunks, leads, payloads):
-            self._state.add_block(lead, payload, len(chunk))
-            metas.append(BlockMeta(text=chunk, lead=lead, payload=payload))
-        return plain, metas
+        return self._chain(chunks, lead_first, tail_last)
 
     @property
     def version(self) -> int:
@@ -750,6 +693,22 @@ class RpcDocument(EncryptedDocument):
             + self._suffix
         )
         self._codec.load(records)
+
+
+def _replace_records(
+    ops: list[DeltaOp], cursor: int, start: int, stop: int,
+    records: list[Record],
+) -> int:
+    """Append the ops that replace old-wire chars ``[start, stop)`` with
+    ``records``, given ``cursor`` old-wire chars already consumed;
+    return the new cursor."""
+    if start > cursor:
+        ops.append(Retain(start - cursor))
+    if stop > start:
+        ops.append(Delete(stop - start))
+    if records:
+        ops.append(Insert(encode_records(records)))
+    return stop
 
 
 def _resolve_keys(

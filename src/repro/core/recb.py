@@ -81,31 +81,17 @@ class RecbCodec(BlockCodec):
 
     # -- data records ---------------------------------------------------
 
-    def prepare_chunks(self, state: RecbState, chunks: list[str]) -> bytes:
-        """Draw nonces and lay out the plaintext blocks for ``chunks``.
-
-        Returns the concatenated pre-cipher block images; the caller
-        encrypts them (possibly together with other spans' images in
-        one batched cipher call — ECB makes the split point
-        irrelevant to the output bytes) and slices the result back
-        into records.
-        """
+    def encrypt_chunks(self, state: RecbState, chunks: list[str]) -> list[Record]:
+        """Draw one nonce per chunk and encrypt ``chunks`` into data
+        records with one batched AES call."""
         if not chunks:
-            return b""
+            return []
         nonces = draw_nonces(self._rng, len(chunks), RECB_NONCE_BYTES)
         plain = bytearray()
         for nonce, chunk in zip(nonces, chunks):
             plain += xor_bytes(state.r0, nonce)
             plain += xor_bytes(nonce, blocks.pack_chars(chunk))
-        return bytes(plain)
-
-    def encrypt_chunks(self, state: RecbState, chunks: list[str]) -> list[Record]:
-        """Encrypt ``chunks`` into data records (batched AES)."""
-        if not chunks:
-            return []
-        encrypted = self._cipher.encrypt_many(
-            self.prepare_chunks(state, chunks)
-        )
+        encrypted = self._cipher.encrypt_many(bytes(plain))
         return [
             Record(
                 char_count=len(chunk),

@@ -120,41 +120,30 @@ class RpcCodec(BlockCodec):
         block = self._cipher.encrypt_block(state.r0 + ALPHA + tail)
         return [Record(char_count=0, block=block)]
 
-    def suffix_plain(self, state: RpcState) -> bytes:
-        """The checksum record's pre-cipher block image (one AES block).
-
-        Split out from :meth:`suffix` so a coalesced update can fold
-        the checksum rewrite into the same batched cipher call as the
-        data blocks — the length amendment is then paid once per
-        burst, not once per keystroke.
-        """
-        payload = xor_bytes(state.payload_xor, _pack_length(state.length))
-        trailer = xor_bytes(state.lead_xor, _pack_version(state.version))
-        return xor_bytes(state.r0, state.lead_xor) + payload + trailer
-
     def suffix(self, state: RpcState) -> list[Record]:
         """The checksum record binding aggregates, length, and version."""
-        block = self._cipher.encrypt_block(self.suffix_plain(state))
+        payload = xor_bytes(state.payload_xor, _pack_length(state.length))
+        trailer = xor_bytes(state.lead_xor, _pack_version(state.version))
+        block = self._cipher.encrypt_block(
+            xor_bytes(state.r0, state.lead_xor) + payload + trailer
+        )
         return [Record(char_count=0, block=block)]
 
     # -- data records --------------------------------------------------
 
-    def prepare_span(
+    def encrypt_span(
         self,
         chunks: list[str],
         lead_first: bytes,
         tail_last: bytes,
-    ) -> tuple[bytes, list[bytes], list[bytes]]:
-        """Draw chain nonces and lay out a span's pre-cipher blocks.
+    ) -> list[tuple[Record, bytes, bytes]]:
+        """Encrypt a contiguous run of chunks into chained records.
 
         The first record's lead nonce is forced to ``lead_first`` and
         the last record's tail to ``tail_last`` so the run splices into
         an existing chain without touching its neighbours; interior
-        nonces are fresh.  Returns ``(plain, leads, payloads)``; the
-        caller encrypts ``plain`` (ECB, so several spans' images may
-        share one batched cipher call without changing the bytes),
-        slices it into records, and folds leads/payloads into the
-        aggregates.
+        nonces are fresh.  Returns ``(record, lead, payload)`` triples
+        for the caller to fold into the aggregates.
         """
         if not chunks:
             raise CiphertextFormatError("RPC span must contain >= 1 block")
@@ -168,25 +157,7 @@ class RpcCodec(BlockCodec):
             payload = blocks.pack_chars(chunk)
             payloads.append(payload)
             plain += lead + payload + tail
-        return bytes(plain), leads, payloads
-
-    def encrypt_span(
-        self,
-        state: RpcState,
-        chunks: list[str],
-        lead_first: bytes,
-        tail_last: bytes,
-    ) -> list[tuple[Record, bytes, bytes]]:
-        """Encrypt a contiguous run of chunks into chained records.
-
-        :meth:`prepare_span` plus the cipher call; returns ``(record,
-        lead, payload)`` triples for the caller to fold into the
-        aggregates.
-        """
-        plain, leads, payloads = self.prepare_span(
-            chunks, lead_first, tail_last
-        )
-        encrypted = self._cipher.encrypt_many(plain)
+        encrypted = self._cipher.encrypt_many(bytes(plain))
         return [
             (
                 Record(char_count=len(chunk), block=encrypted[16 * i : 16 * (i + 1)]),

@@ -50,15 +50,6 @@ class BlockCodec(ABC):
         self._cipher = AesCipher(key)
         self._rng = rng if rng is not None else SystemRandomSource()
 
-    def encrypt_blob(self, plain: bytes) -> bytes:
-        """One cipher pass over prepared block images (whole blocks).
-
-        The coalesced-update path concatenates every touched span's
-        ``prepare_*`` output (plus the checksum image, for schemes that
-        keep one) and encrypts it here in a single call.
-        """
-        return self._cipher.encrypt_many(plain)
-
     @abstractmethod
     def fresh_state(self) -> object:
         """Create per-document scheme state for a new document."""

@@ -298,7 +298,7 @@ PROFILES = {
     "engine": Profile(
         name="engine", mode_weights=(1.0, 0.0, 0.0), fault_prob=0.0,
     ),
-    # long keystroke runs for the edit-coalescing differential: engine
+    # long keystroke runs for the coalesced-burst replay: engine
     # mode only (the oracle drives the document directly), no faults,
     # enough ops per trace that bursts of every size hit the cap paths
     "burst": Profile(

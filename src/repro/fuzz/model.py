@@ -32,10 +32,6 @@ Invariant catalogue (the names used in ``Violation.kind``):
 ``cdelta-divergence``
     the ciphertext delta applied server-side (flat string and/or
     piece table) does not reproduce the client's rewritten wire.
-``coalesce-divergence``
-    a coalesced keystroke burst encrypted with one batched cipher
-    call produced different bytes (cdelta wire or full ciphertext)
-    than the sequential per-cluster reference path.
 ``convergence``
     after faults quiesce, client text and decrypted server state (or
     two merging clients) disagree.

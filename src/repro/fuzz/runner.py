@@ -9,7 +9,9 @@ Three execution modes, selected by ``Trace.mode``:
     server storage models — which must stay byte-equal to the client's
     own rewrite.  Checks run after every op; the trace ends with a
     fresh ``load_document`` round-trip (full parse + decrypt + RPC
-    checksum verification).
+    checksum verification).  The same ops are then replayed as
+    coalesced keystroke bursts on a second document, checked the same
+    way after every burst.
 
 ``session``
     A resilient :class:`PrivateEditingSession` against the trace's
@@ -57,7 +59,7 @@ from pathlib import Path
 
 from repro.client.coalesce import EditCoalescer
 from repro.client.workspace import Workspace
-from repro.core.document import create_document
+from repro.core.document import EncryptedDocument, create_document
 from repro.core.keys import KeyMaterial
 from repro.core.transform import EncryptionEngine
 from repro.crypto.random import DeterministicRandomSource
@@ -140,8 +142,9 @@ def _plan_from_dict(data: dict | None) -> FaultPlan | None:
 # -- engine mode -------------------------------------------------------------
 
 
-def _run_engine(trace: Trace) -> str:
-    doc = create_document(
+def _engine_doc(trace: Trace) -> EncryptedDocument:
+    """A fresh document for the trace's scheme, block size and index."""
+    return create_document(
         trace.init,
         key_material=_engine_keys(),
         scheme=trace.scheme,
@@ -149,6 +152,10 @@ def _run_engine(trace: Trace) -> str:
         rng=DeterministicRandomSource(trace.seed or 1),
         index_factory=_INDEX_FACTORIES[trace.index],
     )
+
+
+def _run_engine(trace: Trace) -> str:
+    doc = _engine_doc(trace)
     oracle = trace.init
     flat = doc.wire() if trace.store in ("both", "flat") else None
     pieces = (PieceTable(doc.wire())
@@ -172,53 +179,37 @@ def _run_engine(trace: Trace) -> str:
         check_document(doc, oracle, step)
 
     check_roundtrip(doc, oracle, -1)
-    _check_coalescing(trace)
+    _check_bursts(trace)
     return doc.wire()
 
 
-#: burst cap for the coalescing differential — small enough that a
+#: burst cap for the coalesced-burst replay — small enough that a
 #: typical trace flushes several bursts through the cap path
-_COALESCE_DIFF_MAX_OPS = 8
+_BURST_REPLAY_MAX_OPS = 8
 
 
-def _check_coalescing(trace: Trace) -> None:
-    """Differential oracle for the coalesced cipher path.
+def _check_bursts(trace: Trace) -> None:
+    """Replay the trace as coalesced bursts on one fresh document.
 
-    The tentpole safety obligation: folding a burst of keystroke deltas
-    into one composed delta and encrypting every touched cluster in a
-    single batched cipher call must be *wire-identical* — same cdelta,
-    same full ciphertext — to the sequential reference path that issues
-    one cipher call per cluster (``_coalesce_ciphers = False``).  Both
-    documents share the trace's seed, so any byte of divergence is a
-    real bug in the coalescing layer, never nonce noise.
+    Each :class:`EditCoalescer` burst is one composed delta, so one IncE
+    pass over several clusters — the only place a cluster's cdelta ops
+    are offset by the rank shift of the clusters before it.  Every
+    burst's cdelta is applied to a flat copy of the stored wire, which
+    must equal the client's own rewrite, and the document is checked
+    against the plaintext oracle after every burst.
     """
-
-    def build(coalesce: bool):
-        doc = create_document(
-            trace.init,
-            key_material=_engine_keys(),
-            scheme=trace.scheme,
-            block_chars=trace.block_chars,
-            rng=DeterministicRandomSource(trace.seed or 1),
-            index_factory=_INDEX_FACTORIES[trace.index],
-        )
-        doc._coalesce_ciphers = coalesce
-        return doc
-
-    batched, sequential = build(True), build(False)
+    doc = _engine_doc(trace)
+    flat = doc.wire()
     text = trace.init
-    journal = EditCoalescer(max_ops=_COALESCE_DIFF_MAX_OPS)
+    journal = EditCoalescer(max_ops=_BURST_REPLAY_MAX_OPS)
 
     def apply_burst(burst, step: int) -> None:
+        nonlocal flat
         if burst is None:
             return
-        wire_b = batched.apply_delta(burst).serialize()
-        wire_s = sequential.apply_delta(burst).serialize()
-        check_equal("coalesce-divergence", wire_b, wire_s, step,
-                    "cdelta wire, batched vs per-cluster ciphers")
-        check_equal("coalesce-divergence", batched.wire(),
-                    sequential.wire(), step,
-                    "ciphertext, batched vs per-cluster ciphers")
+        flat = doc.apply_delta(burst).apply(flat)
+        check_store("flat", flat, doc, step)
+        check_document(doc, text, step)
 
     for step, op in enumerate(trace.ops):
         if op[0] == "s":
@@ -230,8 +221,7 @@ def _check_coalescing(trace: Trace) -> None:
             continue
         apply_burst(journal.add(delta), step)
     apply_burst(journal.flush("drain"), len(trace.ops))
-    check_document(batched, text, -1)
-    check_roundtrip(batched, text, -1)
+    check_roundtrip(doc, text, -1)
 
 
 # -- session mode ------------------------------------------------------------

@@ -148,7 +148,7 @@ def build_colliding_document(
     # (v, dup, v)(v, dup, v) and excising it re-links the chain at v.
     codec._rng = _RiggedNonceSource([v, v, v], codec._rng)
     chunks = [filler, duplicated, duplicated, filler]
-    triples = codec.encrypt_span(state, chunks, first_lead, state.r0)
+    triples = codec.encrypt_span(chunks, first_lead, state.r0)
     for record, lead, payload in triples:
         state.add_block(lead, payload, record.char_count)
     if amended:

@@ -26,7 +26,7 @@ def build(codec, chunks):
     state = codec.fresh_state()
     first_lead = codec._rng.token(RPC_NONCE_BYTES)
     if chunks:
-        triples = codec.encrypt_span(state, chunks, first_lead, state.r0)
+        triples = codec.encrypt_span(chunks, first_lead, state.r0)
         for record, lead, payload in triples:
             state.add_block(lead, payload, record.char_count)
         records = [r for r, _, _ in triples]
@@ -60,7 +60,7 @@ class TestHappyPath:
     def test_randomization(self, codec):
         state = codec.fresh_state()
         lead = codec._rng.token(RPC_NONCE_BYTES)
-        triples = codec.encrypt_span(state, ["same"] * 8, lead, state.r0)
+        triples = codec.encrypt_span(["same"] * 8, lead, state.r0)
         assert len({r.block for r, _, _ in triples}) == 8
 
 
@@ -120,9 +120,8 @@ class TestDetection:
             codec.load([])
 
     def test_empty_span_rejected(self, codec):
-        state = codec.fresh_state()
         with pytest.raises(CiphertextFormatError):
-            codec.encrypt_span(state, [], b"\x00" * 4, b"\x00" * 4)
+            codec.encrypt_span([], b"\x00" * 4, b"\x00" * 4)
 
 
 class TestAggregates:

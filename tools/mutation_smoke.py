@@ -17,6 +17,13 @@ The mutation table covers one oracle per stack layer:
     record (the XOR of the packed document length into the payload
     aggregate, ``RpcCodec.suffix``).  The engine profile's
     checksum-verifying reload must flag it (``roundtrip``).
+``burst-cdelta-rank-shift``
+    Drops the rank shift from the old-wire position of every cluster
+    after the first in a multi-cluster IncE pass
+    (``EncryptedDocument._apply_clusters``), so its cdelta ops land on
+    the wrong records.  The burst profile's coalesced-burst replay
+    must flag it (``cdelta-divergence`` or a crash applying the
+    cdelta to the stored wire).
 ``catalog-lookup-drops-posting``
     The catalog server silently withholds the newest posting blob from
     every trapdoor lookup.  The workspace profile's plaintext word
@@ -77,6 +84,17 @@ MUTATIONS = (
         fuzz_args=("--profile", "engine", "--scheme", "rpc"),
         iters=25,
         blind_to="a broken RPC length amendment",
+    ),
+    Mutation(
+        name="burst-cdelta-rank-shift",
+        file="repro/core/document.py",
+        target=("            ra_old, rb_old = ra - rank_shift, "
+                "rb - rank_shift"),
+        mutant=("            ra_old, rb_old = ra, rb"
+                "  # MUTANT: rank shift dropped"),
+        fuzz_args=("--profile", "burst"),
+        iters=25,
+        blind_to="a mis-offset cdelta for later clusters of a burst",
     ),
     Mutation(
         name="catalog-lookup-drops-posting",
