@@ -104,7 +104,7 @@ class SelfEncryptingGDocsClient(GDocsClient):
         if ack.content_from_server_hash != protocol.NEUTRAL_HASH:
             mirror = self._engine.mirror
             if mirror is not None and ack.content_from_server_hash != \
-                    protocol.content_hash(mirror.wire()):
+                    protocol.content_hash(mirror.stored_wire()):
                 outcome.complaints.append("mirror diverged from server")
                 self.complaints.append("mirror diverged from server")
         return outcome

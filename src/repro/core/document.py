@@ -179,6 +179,9 @@ class EncryptedDocument(ABC):
         self._state: object = None
         self._prefix: list[Record] = []
         self._suffix: list[Record] = []
+        #: the encoded stored form, patched with each emitted cdelta
+        #: (see :meth:`stored_wire`); None until first asked for
+        self._stored: str | None = None
 
     # -- construction -----------------------------------------------------
 
@@ -224,6 +227,7 @@ class EncryptedDocument(ABC):
 
     def _build_fresh(self, text: str, version: int = 0) -> None:
         """(Re)initialize all ciphertext state from plaintext."""
+        self._stored = None
         chunks = blocks.chunk_text(text, self._block_chars)
         self._state = self._codec.fresh_state()
         if hasattr(self._state, "version"):
@@ -292,13 +296,30 @@ class EncryptedDocument(ABC):
         return "".join(meta.text for meta in self._index.values())
 
     def wire(self) -> str:
-        """The full stored form: header + bookkeeping + data records."""
+        """The full stored form: header + bookkeeping + data records.
+
+        Re-encoded from the records on every call — O(n), and the
+        oracle :meth:`stored_wire` must always equal.
+        """
         records = (
             self._prefix
             + [meta.record for meta in self._index.values()]
             + self._suffix
         )
         return self._header.encode() + encode_records(records)
+
+    def stored_wire(self) -> str:
+        """:meth:`wire`, kept as a string and patched per cdelta.
+
+        The first call encodes it; every successful :meth:`apply_delta`
+        then applies its cdelta to the cached string — a slice-and-join,
+        no per-record encoding — exactly as the server applies it to
+        its copy.  Hot callers (ack checks, merge follows, unchanged
+        re-sends) use this instead of re-encoding the whole document.
+        """
+        if self._stored is None:
+            self._stored = self.wire()
+        return self._stored
 
     def wire_length(self) -> int:
         """Length of :meth:`wire` without materializing it."""
@@ -326,10 +347,14 @@ class EncryptedDocument(ABC):
         """IncE: apply a plaintext delta; return the ciphertext delta.
 
         The returned cdelta, applied by the *server* to its stored wire
-        string, produces exactly this mirror's new :meth:`wire`.
+        string, produces exactly this mirror's new :meth:`wire`; it
+        patches the mirror's own :meth:`stored_wire` the same way.
         """
+        stored, self._stored = self._stored, None
         with _APPLY_TIMER.time():
             cdelta = self._apply_delta_inner(delta)
+        if stored is not None:
+            self._stored = cdelta.apply(stored)
         _DELTAS.inc()
         inserted = sum(
             len(op.text) for op in cdelta.ops if isinstance(op, Insert)
@@ -408,7 +433,7 @@ class EncryptedDocument(ABC):
         ops: list[DeltaOp] = []
         if old_length:
             ops.append(Delete(old_length))
-        ops.append(Insert(self.wire()))
+        ops.append(Insert(self.stored_wire()))
         return Delta(ops)
 
     # -- internals -----------------------------------------------------------

@@ -62,7 +62,9 @@ class EncryptionEngine:
 
         Replaces the mirror; the key (and salt) is derived once per
         engine so re-saves of the same document stay openable with the
-        same password.
+        same password.  The returned wire seeds the mirror's
+        :meth:`~EncryptedDocument.stored_wire` cache, so the create's
+        ack check hashes this very string.
         """
         if self._keys is None:
             self._keys = KeyMaterial.from_password(
@@ -76,7 +78,7 @@ class EncryptionEngine:
             rng=self._rng,
             index_factory=self._index_factory,
         )
-        return self._mirror.wire()
+        return self._mirror.stored_wire()
 
     def decrypt(self, wire_text: str) -> str:
         """Decrypt a stored document (document-open path); adopts it as

@@ -103,8 +103,10 @@ class GDocsExtension:
         self._freshness = freshness
         #: check every Ack's contentFromServerHash against the mirror's
         #: expected stored bytes, flagging a conflict on divergence so
-        #: the client resyncs.  Costs one hash of the full mirror wire
-        #: per save — off by default, enabled by fault-tolerant sessions
+        #: the client resyncs.  Costs one SHA-1 of the mirror's stored
+        #: string per save, which IncE keeps patched with each cdelta
+        #: (no re-encode) — off by default, enabled by fault-tolerant
+        #: sessions
         self._verify_acks = verify_acks
         #: workspace seam (PR 10): a
         #: repro.extension.catalog.WorkspaceIndexer fed the plaintext of
@@ -191,7 +193,7 @@ class GDocsExtension:
             # A session-opening full save of unchanged content: re-send
             # the mirror's existing ciphertext byte-identically (no
             # gratuitous re-encryption; the server can dedup it).
-            ciphertext = engine.mirror.wire()
+            ciphertext = engine.mirror.stored_wire()
         else:
             ciphertext = engine.encrypt(plaintext)
         self._note_version(doc_id, engine)
@@ -379,7 +381,7 @@ class GDocsExtension:
         reported = fields.get(protocol.A_CONTENT_HASH, "")
         if not reported or reported == protocol.NEUTRAL_HASH:
             return None
-        wire = mirror.wire()
+        wire = mirror.stored_wire()
         if protocol.content_hash(wire) == reported:
             # A replayed/duplicated merge Ack — the patch is already in
             # (patch application is not idempotent, so never re-apply).
@@ -454,7 +456,7 @@ class GDocsExtension:
         mirror = engine.mirror if engine is not None else None
         if mirror is None:
             return False
-        stored = mirror.wire()
+        stored = mirror.stored_wire()
         if self._stego:
             from repro.encoding.stego import stego_wrap
             stored = stego_wrap(stored)

@@ -32,6 +32,10 @@ Invariant catalogue (the names used in ``Violation.kind``):
 ``cdelta-divergence``
     the ciphertext delta applied server-side (flat string and/or
     piece table) does not reproduce the client's rewritten wire.
+``wire-cache-drift``
+    ``doc.stored_wire()`` — the stored form IncE patches with each
+    cdelta it emits — no longer equals a fresh re-encode,
+    ``doc.wire()``.
 ``convergence``
     after faults quiesce, client text and decrypted server state (or
     two merging clients) disagree.
@@ -68,6 +72,7 @@ __all__ = [
     "check_document",
     "check_roundtrip",
     "check_store",
+    "check_wire_cache",
     "check_equal",
     "check_no_leak",
 ]
@@ -193,12 +198,25 @@ def check_roundtrip(doc: EncryptedDocument, oracle: str, step: int) -> None:
 
 def check_store(store_name: str, stored_wire: str,
                 doc: EncryptedDocument, step: int) -> None:
-    """cdelta fidelity: the server's copy equals the client rewrite."""
+    """cdelta fidelity: the server's copy equals the client rewrite,
+    and so does the client's own patched copy."""
     want = doc.wire()
     if stored_wire != want:
         _fail("cdelta-divergence", step,
               f"{store_name} store diverged from client wire "
               f"(server {len(stored_wire)} chars, client {len(want)})")
+    check_wire_cache(doc, step, want)
+
+
+def check_wire_cache(doc: EncryptedDocument, step: int,
+                     want: str | None = None) -> None:
+    """The mirror's patched stored string equals a fresh re-encode."""
+    want = doc.wire() if want is None else want
+    cached = doc.stored_wire()
+    if cached != want:
+        _fail("wire-cache-drift", step,
+              f"stored_wire() diverged from wire() "
+              f"(cache {len(cached)} chars, re-encode {len(want)})")
 
 
 def check_equal(kind: str, a: str, b: str, step: int, what: str) -> None:

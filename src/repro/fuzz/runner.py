@@ -7,7 +7,8 @@ Three execution modes, selected by ``Trace.mode``:
     built over the trace's scheme × index, with the resulting cdeltas
     applied to a *flat wire string* and a :class:`PieceTable` — the two
     server storage models — which must stay byte-equal to the client's
-    own rewrite.  Checks run after every op; the trace ends with a
+    own rewrite, as must the mirror's cdelta-patched ``stored_wire()``.
+    Checks run after every op; the trace ends with a
     fresh ``load_document`` round-trip (full parse + decrypt + RPC
     checksum verification).  The same ops are then replayed as
     coalesced keystroke bursts on a second document, checked the same
@@ -23,7 +24,9 @@ Three execution modes, selected by ``Trace.mode``:
     client's text (``registry.decrypt_view`` states the oracle
     uniformly across providers), and a lowercase plaintext sentinel
     must never appear in anything that crossed the wire (lowercase
-    cannot occur in Base32 ciphertext).
+    cannot occur in Base32 ciphertext).  After every save, and at the
+    end, each extension mirror's ``stored_wire()`` must equal its
+    re-encoded ``wire()`` (also in the two modes below).
 
 ``concurrent``
     Two sessions sharing one server.  rECB runs the merging server
@@ -77,6 +80,7 @@ from repro.fuzz.model import (
     check_no_leak,
     check_roundtrip,
     check_store,
+    check_wire_cache,
     op_delta,
     resolve_pos,
 )
@@ -143,8 +147,9 @@ def _plan_from_dict(data: dict | None) -> FaultPlan | None:
 
 
 def _engine_doc(trace: Trace) -> EncryptedDocument:
-    """A fresh document for the trace's scheme, block size and index."""
-    return create_document(
+    """A fresh document for the trace's scheme, block size and index,
+    its stored-wire cache seeded so every cdelta patches it."""
+    doc = create_document(
         trace.init,
         key_material=_engine_keys(),
         scheme=trace.scheme,
@@ -152,6 +157,8 @@ def _engine_doc(trace: Trace) -> EncryptedDocument:
         rng=DeterministicRandomSource(trace.seed or 1),
         index_factory=_INDEX_FACTORIES[trace.index],
     )
+    doc.stored_wire()
+    return doc
 
 
 def _run_engine(trace: Trace) -> str:
@@ -264,6 +271,18 @@ def _apply_session_op(session: PrivateEditingSession, op: tuple) -> None:
             session.type_text(pos, op[3])
 
 
+def _check_mirrors(*sessions, step: int = -1) -> None:
+    """``wire-cache-drift`` on every mirror the sessions' extensions
+    hold, after each save and at the end of a trace.  A stale cache
+    would otherwise only cost a resync: the ack check flags it as a
+    mismatch, the session recovers and still converges."""
+    for session in sessions:
+        engines = getattr(session.extension, "_engines", {})
+        for engine in engines.values():
+            if engine.mirror is not None:
+                check_wire_cache(engine.mirror, step)
+
+
 def _leak_blobs(plan: FaultPlan | None, *sessions) -> list[str]:
     blobs: list[str] = []
     if plan is not None:
@@ -287,6 +306,7 @@ def _run_session(trace: Trace) -> str:
     for step, op in enumerate(trace.ops):
         if op[0] == "s":
             session.save()
+            _check_mirrors(session, step=step)
             continue
         _OPS.inc()
         _apply_session_op(session, op)
@@ -332,6 +352,7 @@ def _run_session(trace: Trace) -> str:
     check_equal("convergence", recovered, session.text, -1,
                 "decrypt(server) vs client text")
     check_no_leak(_leak_blobs(plan, session), SENTINEL)
+    _check_mirrors(session)
     return session.server_view() + "\n--\n" + session.text
 
 
@@ -366,6 +387,7 @@ def _run_concurrent(trace: Trace) -> str:
         session = sessions[op[-1] % len(sessions)]
         if op[0] == "s":
             session.save()
+            _check_mirrors(session, step=step)
             continue
         _OPS.inc()
         _apply_session_op(session, op)
@@ -390,6 +412,7 @@ def _run_concurrent(trace: Trace) -> str:
             # is the extension's job — and edits typed into that view
             # re-encrypt ciphertext, exploding past the server quota.)
             check_no_leak(_leak_blobs(plan, *sessions), SENTINEL)
+            _check_mirrors(*sessions)
             return "quota-refused\n--\n" + one.server_view()
     else:
         last = " ".join(f"{o.kind}/{o.ok}" for o in outcomes)
@@ -409,6 +432,7 @@ def _run_concurrent(trace: Trace) -> str:
     check_equal("convergence", recovered, texts[0], -1,
                 "decrypt(server) vs refreshed clients")
     check_no_leak(_leak_blobs(plan, *sessions), SENTINEL)
+    _check_mirrors(*sessions)
     return one.server_view() + "\n--\n" + texts[0]
 
 
@@ -449,10 +473,11 @@ def _run_workspace(trace: Trace) -> str:
     ws.type_text(doc_ids[0], 0, SENTINEL + " " + trace.init)
     ws.save(doc_ids[0])
 
-    for op in trace.ops:
+    for step, op in enumerate(trace.ops):
         doc_id = doc_ids[op[-1] % n_docs]
         if op[0] == "s":
             ws.save(doc_id)
+            _check_mirrors(ws.session(doc_id), step=step)
             continue
         _OPS.inc()
         _apply_session_op(ws.session(doc_id), op)
@@ -507,6 +532,7 @@ def _run_workspace(trace: Trace) -> str:
         blobs.append(exchange.request.body)
         blobs.append(exchange.response.body)
     check_no_leak(blobs, SENTINEL)
+    _check_mirrors(*(ws.session(d) for d in doc_ids))
 
     # attack 1: plain rollback — stored content rewound, chain left
     # stale.  The audited head no longer matches the store.

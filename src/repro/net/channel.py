@@ -178,8 +178,10 @@ class Channel:
         if self._response_tamperer is not None:
             response = self._response_tamperer(response)
 
+        sent_bytes = outgoing.wire_bytes
+        received_bytes = response.wire_bytes
         latency = self._latency.request_latency(
-            outgoing.wire_bytes, response.wire_bytes, now=self.clock.now()
+            sent_bytes, received_bytes, now=self.clock.now()
         )
         sent_at = self.clock.now()
         self.clock.advance(latency)
@@ -189,7 +191,7 @@ class Channel:
         )
         self.exchange_log.append(exchange)
         _EXCHANGES.inc()
-        _WIRE_BYTES.inc(outgoing.wire_bytes + response.wire_bytes)
+        _WIRE_BYTES.inc(sent_bytes + received_bytes)
         _LATENCY.observe(latency)
         for tap in self._taps:
             tap(exchange)

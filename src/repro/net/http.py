@@ -23,6 +23,12 @@ _URL_PARSES = counter("net.url_parses")
 _URL_CACHE_HITS = counter("net.url_cache_hits")
 
 
+def _utf8_length(text: str) -> int:
+    """UTF-8 size of ``text``; ASCII bodies (every Base32 ciphertext
+    and form encoding) are sized by an O(1) flag check, not a copy."""
+    return len(text) if text.isascii() else len(text.encode("utf-8"))
+
+
 def parse_url(url: str) -> tuple[str, str, dict[str, str]]:
     """Split a URL into ``(host, path, query_params)``."""
     _URL_PARSES.inc()
@@ -98,7 +104,7 @@ class HttpRequest:
         """Approximate on-the-wire size (for the latency model)."""
         head = len(self.method) + len(self.url) + 12
         head += sum(len(k) + len(v) + 4 for k, v in self.headers.items())
-        return head + len(self.body.encode("utf-8"))
+        return head + _utf8_length(self.body)
 
 
 @dataclass(frozen=True)
@@ -128,4 +134,4 @@ class HttpResponse:
     @property
     def wire_bytes(self) -> int:
         head = 20 + sum(len(k) + len(v) + 4 for k, v in self.headers.items())
-        return head + len(self.body.encode("utf-8"))
+        return head + _utf8_length(self.body)

@@ -6,6 +6,7 @@ from repro.errors import BlockedRequestError, ProtocolError
 from repro.net.channel import Channel
 from repro.net.http import HttpRequest, HttpResponse, parse_url
 from repro.net.latency import INSTANT, LAN, WAN_2011, LatencyModel, SimClock
+from repro.obs import capture
 
 
 class TestHttp:
@@ -37,6 +38,17 @@ class TestHttp:
         small = HttpRequest("POST", "http://h/p", body="x")
         big = HttpRequest("POST", "http://h/p", body="x" * 1000)
         assert big.wire_bytes > small.wire_bytes
+
+    @pytest.mark.parametrize("body", ["ab%E6%9B%B8", "ab書", "é" * 7, ""])
+    def test_wire_bytes_count_utf8_bytes(self, body):
+        """ASCII bodies are sized by length, others by their UTF-8
+        encoding; both count the same bytes the wire would carry."""
+        req = HttpRequest("POST", "http://h/p", body=body)
+        bare = HttpRequest("POST", "http://h/p")
+        assert req.wire_bytes - bare.wire_bytes == len(body.encode("utf-8"))
+        resp = HttpResponse(200, body)
+        assert resp.wire_bytes - HttpResponse(200).wire_bytes == \
+            len(body.encode("utf-8"))
 
     def test_response_ok(self):
         assert HttpResponse(200).ok
@@ -142,6 +154,22 @@ class TestChannel:
         )
         resp = ch.send(HttpRequest("POST", "http://h/p", body="good"))
         assert resp.body == "EVIL"
+
+    def test_net_wire_bytes_identical_for_ascii_and_non_ascii(self):
+        """Two bodies of the same UTF-8 size, one ASCII (sized by
+        length) and one not (sized by encoding), count the same
+        ``net.wire_bytes`` per echoed exchange: request + response."""
+        ascii_body, utf8_body = "x" * 12, "書" * 4
+        assert len(ascii_body.encode()) == len(utf8_body.encode())
+        counted = []
+        for body in (ascii_body, utf8_body):
+            request = HttpRequest("POST", "http://h/p", body=body)
+            with capture() as cap:
+                Channel(_echo_server).send(request)
+            assert cap["net.wire_bytes"] == \
+                request.wire_bytes + HttpResponse(200, body).wire_bytes
+            counted.append(cap["net.wire_bytes"])
+        assert counted[0] == counted[1]
 
 
 class TestChannelRingBuffer:

@@ -24,6 +24,11 @@ The mutation table covers one oracle per stack layer:
     the wrong records.  The burst profile's coalesced-burst replay
     must flag it (``cdelta-divergence`` or a crash applying the
     cdelta to the stored wire).
+``stored-wire-stale``
+    Drops the cdelta patch of the mirror's cached stored string
+    (``EncryptedDocument.apply_delta``), so ``stored_wire()`` keeps
+    the pre-edit ciphertext while the records move on.  The engine
+    profile's ``check_store`` must flag it (``wire-cache-drift``).
 ``catalog-lookup-drops-posting``
     The catalog server silently withholds the newest posting blob from
     every trapdoor lookup.  The workspace profile's plaintext word
@@ -95,6 +100,16 @@ MUTATIONS = (
         fuzz_args=("--profile", "burst"),
         iters=25,
         blind_to="a mis-offset cdelta for later clusters of a burst",
+    ),
+    Mutation(
+        name="stored-wire-stale",
+        file="repro/core/document.py",
+        target="            self._stored = cdelta.apply(stored)",
+        mutant=("            self._stored = stored"
+                "  # MUTANT: cdelta patch dropped"),
+        fuzz_args=("--profile", "engine"),
+        iters=25,
+        blind_to="a stored-wire cache that misses a cdelta",
     ),
     Mutation(
         name="catalog-lookup-drops-posting",
