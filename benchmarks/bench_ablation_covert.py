@@ -31,6 +31,7 @@ from repro.crypto.random import DeterministicRandomSource
 from repro.encoding.wire import RECORD_CHARS
 from repro.extension import Countermeasures, GDocsExtension, PasswordVault
 from repro.net.channel import Channel
+from repro.security.adversary import EavesdropperTap
 from repro.security.covert import ChannelReport, TimingChannel
 from repro.services.gdocs import protocol
 from repro.services.gdocs.server import GDocsServer
@@ -57,8 +58,8 @@ def _stack(countermeasures, seed):
     return channel, client
 
 
-def _observed_deleted_records(channel):
-    for exchange in reversed(channel.exchange_log):
+def _observed_deleted_records(tap):
+    for exchange in reversed(tap.exchanges):
         form = exchange.request.form if exchange.request.body else {}
         if protocol.F_DELTA in form:
             cdelta = Delta.parse(form[protocol.F_DELTA])
@@ -73,6 +74,8 @@ def run_shape_channel(countermeasures, recompute: bool,
     """Drive the shape channel; optionally apply the paper's 'recompute
     deltas from versions' mitigation inside the measurement loop."""
     channel, client = _stack(countermeasures, seed)
+    tap = EavesdropperTap()
+    channel.add_tap(tap)
 
     def mediate(delta_text, base_text):
         if not recompute:
@@ -100,7 +103,7 @@ def run_shape_channel(countermeasures, recompute: bool,
             client.editor.mark_synced()
         else:
             client.save()
-        return _observed_deleted_records(channel)
+        return _observed_deleted_records(tap)
 
     floor = send(0)
     correct = 0

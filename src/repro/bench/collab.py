@@ -15,8 +15,8 @@ convergence with the plaintext oracle
   edit until every writer is quiescent on the same document
   (wall-clock over the socket, simulated clock deltas in-process);
 * the zero-leak tap: a lowercase sentinel typed by writer 0 must never
-  appear in any exchanged request/response body (Base32 ciphertext is
-  uppercase-only, so a single lowercase leak is loud).
+  appear, raw or form-encoded, in any exchanged request/response (Base32
+  ciphertext is uppercase-only, so a single lowercase leak is loud).
 
 Cells run with the merge path on (``merge=True``, gdocs only) or off —
 the off cells are the conflict/resync baseline every headline ratio is
@@ -41,6 +41,7 @@ from repro.extension.session import PrivateEditingSession
 from repro.net.faults import FaultPlan, updates_only
 from repro.net.latency import SharedLink, SimClock, WAN_2011
 from repro.net.policy import RetryPolicy
+from repro.security.adversary import EavesdropperTap, request_sightings
 from repro.services import registry
 
 __all__ = ["CollabCell", "run_collab", "SEED", "SENTINEL"]
@@ -120,8 +121,10 @@ class _Writer:
             rng=DeterministicRandomSource((seed << 4) + index + 1),
             faults=self.plan, retry_policy=RetryPolicy(seed=seed + index),
             verify_acks=True, service=service, transport=transport,
-            latency=latency, clock=clock, max_log=16,
+            latency=latency, clock=clock,
         )
+        self.tap = EavesdropperTap()
+        self.session.channel.add_tap(self.tap)
         self.saves = 0
         self.conflicts = 0
         self.save_failures = 0
@@ -155,16 +158,12 @@ class _Writer:
         if self.plan is not None:
             self.plan.quiesce()
 
-    def leak_blobs(self) -> list[str]:
-        blobs = []
-        for exchange in self.session.channel.exchange_log:
-            blobs.append(exchange.request.body)
-            blobs.append(exchange.response.body)
+    def leaks(self) -> int:
+        """Sentinel sightings by this writer's tap and fault plan."""
+        seen = self.tap.plaintext_sightings(SENTINEL)
         if self.plan is not None:
-            for request in self.plan.observed:
-                blobs.append(request.url)
-                blobs.append(request.body)
-        return blobs
+            seen += request_sightings(self.plan.observed, SENTINEL)
+        return seen
 
 
 def _drain(writers: list[_Writer], revisioned: bool) -> int:
@@ -252,10 +251,7 @@ def _finish(crew: list[_Writer], service: str, scheme: str,
     stored = crew[0].session.server_view()
     recovered = registry.decrypt_view(service, stored, PASSWORD, scheme)
     converged = converged and recovered == crew[0].session.text
-    leak_clean = not any(
-        SENTINEL.split()[0] in blob
-        for writer in crew for blob in writer.leak_blobs()
-    )
+    leak_clean = not any(writer.leaks() for writer in crew)
     return converged, leak_clean
 
 

@@ -126,7 +126,7 @@ class _SessionDriver:
             f"load-{index}", f"pw-{index}", scheme=scheme,
             faults=self.plan, retry_policy=RetryPolicy(seed=seed + index),
             verify_acks=True, service=service, transport=transport,
-            latency=latency, clock=clock, max_log=8,
+            latency=latency, clock=clock,
         )
         self.save_failures = 0
         self.saves = 0

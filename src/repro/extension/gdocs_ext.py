@@ -45,7 +45,10 @@ from repro.services.catalog import A_AUDIT_LINK, F_AUDIT, F_INDEX, \
     encode_records
 from repro.services.gdocs import protocol
 
-__all__ = ["GDocsExtension"]
+__all__ = ["GDocsExtension", "ACK_DIVERGES"]
+
+#: in ``warnings`` for each Ack whose hash disagreed with the mirror
+ACK_DIVERGES = "ack content hash diverges from mirror"
 
 #: save rewrites served from the idempotency cache — each one is a
 #: retry/replay whose re-transformation would have double-advanced the
@@ -464,9 +467,7 @@ class GDocsExtension:
             return False
         _ACK_MISMATCHES.inc()
         self.warnings.append(
-            f"{doc_id}: ack content hash diverges from mirror "
-            "(stored ciphertext corrupted?)"
-        )
+            f"{doc_id}: {ACK_DIVERGES} (stored ciphertext corrupted?)")
         return True
 
     def _try_decrypt(self, doc_id: str, wire_text: str) -> str | None:

@@ -56,7 +56,6 @@ class PrivateEditingSession:
         service: str = "gdocs",
         transport=None,
         clock=None,
-        max_log: int | None = None,
         indexer=None,
         audit: bool = False,
     ):
@@ -81,7 +80,7 @@ class PrivateEditingSession:
         self.faults = faults
         target = transport if transport is not None else self.server
         self.channel = Channel(target, latency=latency, clock=clock,
-                               max_log=max_log, faults=faults)
+                               faults=faults)
         self.vault = PasswordVault({doc_id: password})
         self.extension = None
         if extension_enabled:

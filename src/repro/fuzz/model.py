@@ -42,7 +42,10 @@ Invariant catalogue (the names used in ``Violation.kind``):
 ``save-failed``
     a save that must succeed (post-quiesce) returned a typed failure.
 ``plaintext-leak``
-    a plaintext sentinel appeared in bytes that crossed the Channel.
+    a plaintext sentinel appeared, raw or form-encoded, on the wire.
+``ack-divergence``
+    an extension flagged a diverging Ack in a trace with no faults (a
+    wrong cdelta the conflict → resync would otherwise hide).
 ``search-mismatch``
     the encrypted search index answered a trapdoor lookup with a
     document set different from the plaintext word oracle's.
@@ -61,7 +64,9 @@ from dataclasses import dataclass, field
 from repro.core.delta import Delta
 from repro.core.document import EncryptedDocument, load_document
 from repro.errors import ReproError
+from repro.extension.gdocs_ext import ACK_DIVERGES
 from repro.fuzz.generators import POS_SCALE
+from repro.security.adversary import EavesdropperTap, request_sightings
 
 __all__ = [
     "Violation",
@@ -75,6 +80,7 @@ __all__ = [
     "check_wire_cache",
     "check_equal",
     "check_no_leak",
+    "check_acks",
 ]
 
 
@@ -225,11 +231,18 @@ def check_equal(kind: str, a: str, b: str, step: int, what: str) -> None:
         _fail(kind, step, f"{what}: {_clip(a)!r} != {_clip(b)!r}")
 
 
-def check_no_leak(blobs, sentinel: str, step: int = -1) -> None:
-    """No plaintext sentinel in anything that crossed the Channel."""
-    needle = sentinel.encode()
-    for blob in blobs:
-        data = blob if isinstance(blob, bytes) else str(blob).encode()
-        if needle in data:
-            _fail("plaintext-leak", step,
-                  f"sentinel {sentinel!r} found in channel bytes")
+def check_no_leak(tap: EavesdropperTap, sentinel: str, observed=(),
+                  step: int = -1) -> None:
+    """No ``sentinel`` in what ``tap`` saw nor in ``observed`` requests."""
+    seen = (tap.plaintext_sightings(sentinel)
+            + request_sightings(observed, sentinel))
+    if seen:
+        _fail("plaintext-leak", step,
+              f"sentinel {sentinel!r} seen {seen} times on the wire")
+
+
+def check_acks(extension, step: int = -1) -> None:
+    """``extension`` never flagged a diverging Ack."""
+    for warning in extension.warnings:
+        if ACK_DIVERGES in warning:
+            _fail("ack-divergence", step, warning)

@@ -23,10 +23,11 @@ Three execution modes, selected by ``Trace.mode``:
     clean save must land, the stored bytes must decrypt to the
     client's text (``registry.decrypt_view`` states the oracle
     uniformly across providers), and a lowercase plaintext sentinel
-    must never appear in anything that crossed the wire (lowercase
-    cannot occur in Base32 ciphertext).  After every save, and at the
-    end, each extension mirror's ``stored_wire()`` must equal its
-    re-encoded ``wire()`` (also in the two modes below).
+    must never appear, raw or form-encoded, in anything that crossed
+    the wire (lowercase cannot occur in Base32 ciphertext).  After every
+    save, and at the end, each extension mirror's ``stored_wire()`` must
+    equal its re-encoded ``wire()``; a fault-free trace must end with no
+    diverging Ack (both also in the two modes below).
 
 ``concurrent``
     Two sessions sharing one server.  rECB runs the merging server
@@ -75,6 +76,7 @@ from repro.fuzz.model import (
     InvariantViolation,
     Violation,
     apply_op,
+    check_acks,
     check_document,
     check_equal,
     check_no_leak,
@@ -87,7 +89,7 @@ from repro.fuzz.model import (
 from repro.net.faults import FaultPlan, FaultSpec, updates_only
 from repro.net.policy import RetryPolicy
 from repro.obs.metrics import counter
-from repro.security.adversary import ActiveServerAdversary
+from repro.security.adversary import ActiveServerAdversary, EavesdropperTap
 from repro.services import registry
 from repro.services.gdocs import protocol as gdocs_protocol
 from repro.services.gdocs.pieces import PieceTable
@@ -283,22 +285,28 @@ def _check_mirrors(*sessions, step: int = -1) -> None:
                 check_wire_cache(engine.mirror, step)
 
 
-def _leak_blobs(plan: FaultPlan | None, *sessions) -> list[str]:
-    blobs: list[str] = []
-    if plan is not None:
-        for request in plan.observed:
-            blobs.append(request.url)
-            blobs.append(request.body)
-    for session in sessions:
-        for exchange in session.channel.exchange_log:
-            blobs.append(exchange.request.body)
-            blobs.append(exchange.response.body)
-    return blobs
+def _watch(*channels) -> EavesdropperTap:
+    """One tap on every channel, attached before the sentinel is typed."""
+    tap = EavesdropperTap()
+    for channel in channels:
+        channel.add_tap(tap)
+    return tap
+
+
+def _check_end(tap: EavesdropperTap, plan: FaultPlan | None,
+               *sessions) -> None:
+    """The end-of-trace checks shared by every networked mode."""
+    check_no_leak(tap, SENTINEL, plan.observed if plan is not None else ())
+    _check_mirrors(*sessions)
+    if plan is None:
+        for session in sessions:
+            check_acks(session.extension)
 
 
 def _run_session(trace: Trace) -> str:
     plan = _plan_from_dict(trace.faults)
     session = _session(trace, faults=plan)
+    tap = _watch(session.channel)
     session.open()
     session.type_text(0, SENTINEL + " " + trace.init)
     session.save()  # may fail mid-faults; typed outcome, never a raise
@@ -351,8 +359,7 @@ def _run_session(trace: Trace) -> str:
     )
     check_equal("convergence", recovered, session.text, -1,
                 "decrypt(server) vs client text")
-    check_no_leak(_leak_blobs(plan, session), SENTINEL)
-    _check_mirrors(session)
+    _check_end(tap, plan, session)
     return session.server_view() + "\n--\n" + session.text
 
 
@@ -375,6 +382,7 @@ def _run_concurrent(trace: Trace) -> str:
         for i in range(n)
     )
     one = sessions[0]
+    tap = _watch(*(s.channel for s in sessions))
 
     one.open()
     one.type_text(0, SENTINEL + " " + trace.init)
@@ -411,8 +419,7 @@ def _run_concurrent(trace: Trace) -> str:
             # repair sees raw ciphertext — refusing to forge plaintext
             # is the extension's job — and edits typed into that view
             # re-encrypt ciphertext, exploding past the server quota.)
-            check_no_leak(_leak_blobs(plan, *sessions), SENTINEL)
-            _check_mirrors(*sessions)
+            _check_end(tap, plan, *sessions)
             return "quota-refused\n--\n" + one.server_view()
     else:
         last = " ".join(f"{o.kind}/{o.ok}" for o in outcomes)
@@ -431,8 +438,7 @@ def _run_concurrent(trace: Trace) -> str:
     ).decrypt(one.server_view())
     check_equal("convergence", recovered, texts[0], -1,
                 "decrypt(server) vs refreshed clients")
-    check_no_leak(_leak_blobs(plan, *sessions), SENTINEL)
-    _check_mirrors(*sessions)
+    _check_end(tap, plan, *sessions)
     return one.server_view() + "\n--\n" + texts[0]
 
 
@@ -470,6 +476,8 @@ def _run_workspace(trace: Trace) -> str:
     )
     for doc_id in doc_ids:
         ws.open(doc_id)
+    sessions = [ws.session(d) for d in doc_ids]
+    tap = _watch(ws.catalog_channel, *(s.channel for s in sessions))
     ws.type_text(doc_ids[0], 0, SENTINEL + " " + trace.init)
     ws.save(doc_ids[0])
 
@@ -526,13 +534,7 @@ def _run_workspace(trace: Trace) -> str:
                 "audit-false-alarm", -1,
                 f"clean history of {doc_id} raised {alerts[0]!r}"))
 
-    blobs = _leak_blobs(None, *(ws.session(d) for d in doc_ids))
-    for exchange in ws.catalog_channel.exchange_log:
-        blobs.append(exchange.request.url)
-        blobs.append(exchange.request.body)
-        blobs.append(exchange.response.body)
-    check_no_leak(blobs, SENTINEL)
-    _check_mirrors(*(ws.session(d) for d in doc_ids))
+    _check_end(tap, None, *sessions)
 
     # attack 1: plain rollback — stored content rewound, chain left
     # stale.  The audited head no longer matches the store.

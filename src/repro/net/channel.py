@@ -3,14 +3,14 @@
 This is the simulation's stand-in for the browser's network stack — the
 place where the 2011 Firefox extension hooked request observation.  A
 :class:`Channel` delivers :class:`HttpRequest` objects to a server
-callable and returns its :class:`HttpResponse`, with three hook points:
+callable and returns its :class:`HttpResponse`, with four hook points:
 
 * **mediator** — the trusted extension: may rewrite the outgoing
   request, rewrite the incoming response, or *drop* the request
   entirely (the fail-closed branch of Fig. 2);
 * **taps** — passive eavesdroppers (the paper notes many cloud servers
-  ran without SSL, so our adversary sees all traffic; the tap is how
-  the security harness collects what an adversary would);
+  ran without SSL, so our adversary sees all traffic; a tap is the
+  only way to watch it: the channel keeps no exchanges of its own);
 * **tamperers** — active network adversaries that mutate messages in
   flight;
 * **faults** — an optional :class:`repro.net.faults.FaultPlan` that
@@ -21,19 +21,17 @@ callable and returns its :class:`HttpResponse`, with three hook points:
   :class:`~repro.errors.NetworkTimeoutError`).
 
 Every exchange advances the simulated clock by the latency model's
-estimate, and is appended to ``exchange_log`` for analysis.
+estimate, is counted in the ``net.*`` metrics and goes to each tap.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
-from typing import Callable, MutableSequence, Protocol
+from typing import Callable, Protocol
 
 from repro.errors import BlockedRequestError
 from repro.net.http import HttpRequest, HttpResponse
 from repro.net.latency import INSTANT, LatencyModel, SimClock
-from repro.net.transport import InProcessTransport, Transport
+from repro.net.transport import Exchange, InProcessTransport, Transport
 from repro.obs import counter, histogram
 
 __all__ = ["Mediator", "Channel", "Exchange"]
@@ -58,38 +56,19 @@ class Mediator(Protocol):
         ...  # pragma: no cover
 
 
-@dataclass(frozen=True)
-class Exchange:
-    """One completed request/response pair as seen on the wire
-    (post-mediation: what an eavesdropper observes)."""
-
-    request: HttpRequest
-    response: HttpResponse
-    sent_at: float
-    latency: float
-
-
 class Channel:
     """Delivers requests to a server with mediation and observation.
 
-    ``max_log`` caps ``exchange_log`` and ``blocked_log`` at the most
-    recent N entries (a ring buffer), so long macro-bench sessions do
-    not retain every exchange; the default (None) keeps everything,
-    which is what the tests and the security harness expect.  Aggregate
-    statistics (``net.exchanges``, ``net.wire_bytes``, the latency
-    histogram) are unaffected by the cap.
-    """
+    Keeps nothing per exchange: to read the traffic, attach a tap
+    (:meth:`add_tap`) before it flows."""
 
     def __init__(
         self,
         server: Callable[[HttpRequest], HttpResponse],
         latency: LatencyModel | None = None,
         clock: SimClock | None = None,
-        max_log: int | None = None,
         faults=None,
     ):
-        if max_log is not None and max_log < 1:
-            raise ValueError(f"max_log must be >= 1 or None, got {max_log}")
         # the transport seam (PR 7): a bare server callable is wrapped
         # in InProcessTransport (byte-for-byte the old direct call); an
         # AsyncioSocketTransport passes through and the same mediation,
@@ -106,13 +85,6 @@ class Channel:
         self._taps: list[Callable[[Exchange], None]] = []
         self._request_tamperer: Callable[[HttpRequest], HttpRequest] | None = None
         self._response_tamperer: Callable[[HttpResponse], HttpResponse] | None = None
-        self.max_log = max_log
-        self.exchange_log: MutableSequence[Exchange] = (
-            [] if max_log is None else deque(maxlen=max_log)
-        )
-        self.blocked_log: MutableSequence[HttpRequest] = (
-            [] if max_log is None else deque(maxlen=max_log)
-        )
 
     @property
     def transport(self) -> Transport:
@@ -150,7 +122,6 @@ class Channel:
         if self._mediator is not None:
             mediated = self._mediator.on_request(request)
             if mediated is None:
-                self.blocked_log.append(request)
                 _BLOCKED.inc()
                 raise BlockedRequestError(
                     f"extension dropped unrecognized request "
@@ -166,9 +137,9 @@ class Channel:
         if self.faults is not None:
             # The fault plan owns delivery: it may mutate, duplicate,
             # reorder, answer for the server, or lose the exchange
-            # entirely (raising NetworkTimeoutError — nothing is
-            # logged because nothing completed on the wire; the plan
-            # records what it saw in ``faults.observed``).
+            # entirely (raising NetworkTimeoutError — no tap sees it
+            # because nothing completed on the wire; the plan records
+            # what it saw in ``faults.observed``).
             outgoing, response = self.faults.deliver(
                 outgoing, self._server, self.clock
             )
@@ -185,14 +156,10 @@ class Channel:
         )
         sent_at = self.clock.now()
         self.clock.advance(latency)
-        exchange = Exchange(
-            request=outgoing, response=response,
-            sent_at=sent_at, latency=latency,
-        )
-        self.exchange_log.append(exchange)
         _EXCHANGES.inc()
         _WIRE_BYTES.inc(sent_bytes + received_bytes)
         _LATENCY.observe(latency)
+        exchange = Exchange(outgoing, response, sent_at, latency)
         for tap in self._taps:
             tap(exchange)
 

@@ -54,7 +54,7 @@ from repro.obs import counter
 
 __all__ = [
     "Transport",
-    "WireExchange",
+    "Exchange",
     "InProcessTransport",
     "AsyncioSocketTransport",
     "encode_request_frame",
@@ -79,21 +79,23 @@ OP_PING = "ping"
 
 
 @dataclass(frozen=True)
-class WireExchange:
-    """One request/response pair as it crossed the transport seam.
+class Exchange:
+    """One completed request/response pair, as a tap sees it.
 
-    Duck-types as :class:`repro.net.channel.Exchange` for the observers
-    in :mod:`repro.security` (an
-    :class:`~repro.security.adversary.EavesdropperTap` reads
-    ``request``/``response``/``sent_at``), but records what actually hit
-    the wire — *below* the mediating extension, where only ciphertext
-    should ever appear.
+    A :class:`~repro.net.channel.Channel` hands its taps the exchange
+    after mediation (what an eavesdropper on the network observes); a
+    transport's taps see what actually hit the wire *below* the
+    mediating extension, where only ciphertext should ever appear.
     """
 
     request: HttpRequest
     response: HttpResponse
     sent_at: float
     latency: float = 0.0
+
+
+#: the name transport taps' exchanges had before channels shared the type
+WireExchange = Exchange
 
 
 class Transport(ABC):
@@ -132,7 +134,7 @@ class Transport(ABC):
         same convention as :meth:`repro.net.channel.Channel.add_tap`
         (so :class:`repro.security.adversary.EavesdropperTap` plugs in
         unchanged).  Taps see every exchange this transport delivers,
-        as a :class:`WireExchange`.  Observation only: taps cannot
+        as a :class:`Exchange`.  Observation only: taps cannot
         rewrite traffic, exactly like a passive network adversary."""
         taps = getattr(self, "_taps", None)
         if taps is None:
@@ -145,7 +147,7 @@ class Transport(ABC):
         taps = getattr(self, "_taps", None)
         if not taps:
             return
-        exchange = WireExchange(request=request, response=response,
+        exchange = Exchange(request=request, response=response,
                                 sent_at=time.monotonic())
         for tap in taps:
             tap(exchange)

@@ -2,7 +2,8 @@
 
 * :class:`EavesdropperTap` — the passive network observer (the paper
   notes most 2011 cloud servers ran without SSL); records every
-  post-mediation exchange for later analysis.
+  post-mediation exchange for later analysis; :func:`request_sightings`
+  applies its plaintext match to bare requests (``FaultPlan.observed``).
 * :class:`HonestButCuriousServer` — the curious provider: full access to
   the stored ciphertext *and its revision history* plus all observed
   update traffic; offers the inference helpers the analysis module
@@ -14,10 +15,12 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from repro.core.auditchain import AuditChain
 from repro.core.delta import Delete, Delta, Insert, Retain
+from repro.encoding.formenc import quote
 from repro.encoding.wire import RECORD_CHARS, split_header
 from repro.errors import CiphertextFormatError
 from repro.net.channel import Exchange
@@ -26,6 +29,7 @@ from repro.services.gdocs.storage import DocumentStore
 
 __all__ = [
     "EavesdropperTap",
+    "request_sightings",
     "ObservedUpdate",
     "HonestButCuriousServer",
     "ActiveServerAdversary",
@@ -88,15 +92,30 @@ class EavesdropperTap:
         return out
 
     def plaintext_sightings(self, needle: str) -> int:
-        """How many exchanges contain ``needle`` verbatim — the basic
-        confidentiality check (0 when the extension is on)."""
-        count = 0
-        for exchange in self.exchanges:
-            if needle in exchange.request.body or needle in exchange.request.url:
-                count += 1
-            if needle in exchange.response.body:
-                count += 1
-        return count
+        """How many captured requests (URL or body) and responses carry
+        ``needle``, verbatim or form-encoded — the basic confidentiality
+        check (0 when the extension is on)."""
+        spellings = _spellings(needle)
+        return sum(_carries(spellings, e.request.body, e.request.url)
+                   + _carries(spellings, e.response.body)
+                   for e in self.exchanges)
+
+
+def request_sightings(requests, needle: str) -> int:
+    """How many ``requests`` carry ``needle`` in URL or body, by the
+    match of :meth:`EavesdropperTap.plaintext_sightings`."""
+    spellings = _spellings(needle)
+    return sum(_carries(spellings, r.body, r.url) for r in requests)
+
+
+@functools.lru_cache(maxsize=128)
+def _spellings(needle: str) -> tuple[str, ...]:
+    """``needle`` verbatim and form-encoded; one scan when they agree."""
+    return tuple(dict.fromkeys((needle, quote(needle))))
+
+
+def _carries(spellings: tuple[str, ...], *texts: str) -> bool:
+    return any(s in text for s in spellings for text in texts)
 
 
 def _delta_record_stats(delta_text: str) -> tuple[int, int, int]:

@@ -32,6 +32,7 @@ from repro.crypto.random import DeterministicRandomSource
 from repro.extension.session import PrivateEditingSession
 from repro.net.faults import FAULT_KINDS, FaultPlan, FaultSpec, updates_only
 from repro.net.policy import RetryPolicy
+from repro.security.adversary import EavesdropperTap, request_sightings
 from repro.services import registry
 
 #: lowercase letters cannot appear in Base32 ciphertext, so a sighting
@@ -63,6 +64,8 @@ def _run_cell(scheme: str, service: str, kind: str, seed: int, *,
         verify_acks=True, rng=DeterministicRandomSource(seed),
         service=service, transport=transport,
     )
+    tap = EavesdropperTap()
+    session.channel.add_tap(tap)
     session.open()
     session.type_text(0, SECRET + " first draft. ")
     outcomes = [session.save()]
@@ -84,21 +87,15 @@ def _run_cell(scheme: str, service: str, kind: str, seed: int, *,
     if not registry.backend_for(service).capabilities.revisioned:
         outcome = session.save()
     outcomes.append(outcome)
-    return plan, session, outcomes
+    return plan, session, outcomes, tap
 
 
-def _leaks(plan: FaultPlan, session: PrivateEditingSession) -> list[str]:
-    """Every wire surface an adversary saw that contains the secret."""
-    sightings = []
-    for request in plan.observed:
-        if SECRET in request.body or SECRET in request.url:
-            sightings.append(f"request {request.method} {request.url}")
-    for exchange in session.channel.exchange_log:
-        if SECRET in exchange.request.body:
-            sightings.append(f"logged request {exchange.request.url}")
-        if SECRET in exchange.response.body:
-            sightings.append(f"response to {exchange.request.url}")
-    return sightings
+def _leaks(plan: FaultPlan, tap: EavesdropperTap) -> int:
+    """Sightings of the secret, raw or form-encoded, on every wire
+    surface an adversary saw: completed exchanges and the requests the
+    fault plan saw leave (including those that died in flight)."""
+    return (tap.plaintext_sightings(SECRET)
+            + request_sightings(plan.observed, SECRET))
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -108,7 +105,7 @@ def test_parity_cell_converges_without_leaking(scheme, service, kind,
                                                request):
     seed = _seed(scheme, service, kind)
     request.node.user_properties.append(("fault_seed", seed))
-    plan, session, outcomes = _run_cell(scheme, service, kind, seed)
+    plan, session, outcomes, tap = _run_cell(scheme, service, kind, seed)
 
     # every save outcome is typed: a failure is ok=False, never a raise
     assert outcomes[-1].ok, (
@@ -122,7 +119,7 @@ def test_parity_cell_converges_without_leaking(scheme, service, kind,
         f"{service} store and client diverged under {kind}/{scheme} "
         f"(seed {seed})"
     )
-    assert _leaks(plan, session) == [], (
+    assert _leaks(plan, tap) == 0, (
         f"plaintext leaked on {service} (seed {seed})"
     )
 
@@ -133,7 +130,7 @@ def test_parity_cells_injected(service):
     rate-driven plans strike many times (checked in aggregate)."""
     injected = 0
     for kind in FAULT_KINDS:
-        plan, _, _ = _run_cell("recb", service, kind,
+        plan, _, _, _ = _run_cell("recb", service, kind,
                                _seed("recb", service, kind))
         injected += len(plan.injections)
     assert injected >= len(FAULT_KINDS)
@@ -169,7 +166,7 @@ def test_parity_cell_over_the_socket_transport(scheme, kind,
     try:
         # unique doc per cell: unlike the in-process cells, the served
         # backend outlives each session
-        plan, session, outcomes = _run_cell(
+        plan, session, outcomes, tap = _run_cell(
             scheme, "gdocs", kind, seed, transport=transport,
             doc=f"parity-{kind}-{scheme}-socket",
         )
@@ -184,7 +181,7 @@ def test_parity_cell_over_the_socket_transport(scheme, kind,
             f"served store and client diverged under {kind}/{scheme} "
             f"(seed {seed})"
         )
-        assert _leaks(plan, session) == [], (
+        assert _leaks(plan, tap) == 0, (
             f"plaintext leaked over the socket (seed {seed})"
         )
     finally:

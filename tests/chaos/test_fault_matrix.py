@@ -29,6 +29,7 @@ from repro.crypto.random import DeterministicRandomSource
 from repro.extension.session import PrivateEditingSession
 from repro.net.faults import FAULT_KINDS, FaultPlan, FaultSpec, updates_only
 from repro.net.policy import RetryPolicy
+from repro.security.adversary import EavesdropperTap, request_sightings
 from repro.services.gdocs.server import GDocsServer
 
 #: lowercase letters cannot appear in Base32 ciphertext, so a sighting
@@ -58,18 +59,12 @@ def _plan(kind: str, timing: str, seed: int) -> FaultPlan:
     return FaultPlan([spec], seed=seed)
 
 
-def _leaks(plan: FaultPlan, session: PrivateEditingSession) -> list[str]:
-    """Every wire surface an adversary saw that contains the secret."""
-    sightings = []
-    for request in plan.observed:
-        if SECRET in request.body or SECRET in request.url:
-            sightings.append(f"request {request.method} {request.url}")
-    for exchange in session.channel.exchange_log:
-        if SECRET in exchange.request.body:
-            sightings.append(f"logged request {exchange.request.url}")
-        if SECRET in exchange.response.body:
-            sightings.append(f"response to {exchange.request.url}")
-    return sightings
+def _leaks(plan: FaultPlan, tap: EavesdropperTap) -> int:
+    """Sightings of the secret, raw or form-encoded, on every wire
+    surface an adversary saw: completed exchanges and the requests the
+    fault plan saw leave (including those that died in flight)."""
+    return (tap.plaintext_sightings(SECRET)
+            + request_sightings(plan.observed, SECRET))
 
 
 def _run_cell(scheme: str, kind: str, timing: str, seed: int):
@@ -79,6 +74,8 @@ def _run_cell(scheme: str, kind: str, timing: str, seed: int):
         faults=plan, retry_policy=RetryPolicy(seed=seed),
         verify_acks=True, rng=DeterministicRandomSource(seed),
     )
+    tap = EavesdropperTap()
+    session.channel.add_tap(tap)
     session.open()
     session.type_text(0, SECRET + " first draft. ")
     outcomes = [session.save()]
@@ -89,7 +86,7 @@ def _run_cell(scheme: str, kind: str, timing: str, seed: int):
     # the weather clears; one clean save must reconcile everything
     plan.quiesce()
     outcomes.append(session.save())
-    return plan, session, outcomes
+    return plan, session, outcomes, tap
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -99,7 +96,7 @@ def test_cell_converges_without_leaking(scheme, kind, timing, request):
     seed = _seed(scheme, kind, timing)
     # surface the seed in the recorded test id for replay instructions
     request.node.user_properties.append(("fault_seed", seed))
-    plan, session, outcomes = _run_cell(scheme, kind, timing, seed)
+    plan, session, outcomes, tap = _run_cell(scheme, kind, timing, seed)
 
     # every save outcome is typed: a failure is ok=False, never a raise
     assert outcomes[-1].ok, (
@@ -116,7 +113,7 @@ def test_cell_converges_without_leaking(scheme, kind, timing, request):
         f"(seed {seed})"
     )
     # zero plaintext anywhere an adversary could look
-    assert _leaks(plan, session) == [], f"plaintext leaked (seed {seed})"
+    assert _leaks(plan, tap) == 0, f"plaintext leaked (seed {seed})"
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -127,7 +124,7 @@ def test_scheduled_cells_injected(scheme, timing):
     injected = 0
     for kind in FAULT_KINDS:
         seed = _seed(scheme, kind, timing)
-        plan, _, _ = _run_cell(scheme, kind, timing, seed)
+        plan, _, _, _ = _run_cell(scheme, kind, timing, seed)
         if timing == "scheduled":
             assert [k for _, k in plan.injections] == [kind]
         injected += len(plan.injections)
@@ -153,6 +150,9 @@ def test_conflict_cell_resyncs_and_converges(scheme):
         retry_policy=RetryPolicy(seed=2), verify_acks=True,
         rng=DeterministicRandomSource(2),
     )
+    tap = EavesdropperTap()
+    alice.channel.add_tap(tap)
+    bob.channel.add_tap(tap)
     # alice establishes the document and enters delta mode
     alice.open()
     alice.type_text(0, SECRET + " shared ground. ")
@@ -180,10 +180,7 @@ def test_conflict_cell_resyncs_and_converges(scheme):
         password=password, scheme=scheme
     ).decrypt(stored)
     assert recovered == alice.text
-    for exchange in list(alice.channel.exchange_log) + \
-            list(bob.channel.exchange_log):
-        assert SECRET not in exchange.request.body
-        assert SECRET not in exchange.response.body
+    assert tap.plaintext_sightings(SECRET) == 0
 
 
 def test_matrix_replays_identically():
@@ -191,7 +188,7 @@ def test_matrix_replays_identically():
     faults at the same exchanges and lands identical ciphertext."""
     runs = []
     for _ in range(2):
-        plan, session, _ = _run_cell("rpc", "corrupt", "rate", seed=77)
+        plan, session, _, _ = _run_cell("rpc", "corrupt", "rate", seed=77)
         runs.append((plan.injections, session.server_view(),
                      session.text))
     assert runs[0] == runs[1]

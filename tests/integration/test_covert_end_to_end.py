@@ -7,6 +7,7 @@ from repro.client.malicious import LengthLeakClient, ShapeLeakClient
 from repro.crypto.random import DeterministicRandomSource
 from repro.extension import Countermeasures, GDocsExtension, PasswordVault
 from repro.net.channel import Channel
+from repro.security.adversary import EavesdropperTap
 from repro.security.covert import DeltaShapeChannel
 from repro.services.gdocs import protocol
 from repro.services.gdocs.server import GDocsServer
@@ -26,10 +27,10 @@ def build_stack(client_cls, countermeasures=None, seed=1):
     return server, channel, client
 
 
-def observed_delta_deletions(channel):
+def observed_delta_deletions(tap):
     """What the adversary reads off the last delta save's cdelta."""
     from repro.core.delta import Delete, Delta
-    for exchange in reversed(channel.exchange_log):
+    for exchange in reversed(tap.exchanges):
         form = exchange.request.form if exchange.request.body else {}
         if protocol.F_DELTA in form:
             cdelta = Delta.parse(form[protocol.F_DELTA])
@@ -44,6 +45,8 @@ class TestDeltaShapeChannel:
         _, channel, client = build_stack(
             ShapeLeakClient, countermeasures, seed
         )
+        tap = EavesdropperTap()
+        channel.add_tap(tap)
         client.open()
         client.type_text(0, "x" * 300)
         client.save()
@@ -51,13 +54,13 @@ class TestDeltaShapeChannel:
         client.queue_symbol(0)
         client.type_text(300, "a")
         client.save()
-        floor = observed_delta_deletions(channel)
+        floor = observed_delta_deletions(tap)
         # now send the real symbol
         client.queue_symbol(symbol)
         client.type_text(301, "b")
         client.save()
         from repro.encoding.wire import RECORD_CHARS
-        observed = observed_delta_deletions(channel)
+        observed = observed_delta_deletions(tap)
         decoded = max(0, (observed - floor) // RECORD_CHARS)
         return decoded
 
@@ -131,8 +134,10 @@ class TestPaddingCountermeasure:
             _, channel, client = build_stack(
                 ShapeLeakClient, cm_seeded, 30 + seed
             )
+            tap = EavesdropperTap()
+            channel.add_tap(tap)
             client.open()
             client.type_text(0, "same text every time")
             client.save()
-            sizes.add(channel.exchange_log[-1].request.wire_bytes)
+            sizes.add(tap.exchanges[-1].request.wire_bytes)
         assert len(sizes) > 1  # same plaintext, different wire sizes

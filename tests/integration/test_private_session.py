@@ -3,10 +3,13 @@
 import pytest
 
 from repro.crypto.random import DeterministicRandomSource
+from repro.encoding.formenc import encode_form
 from repro.encoding.wire import looks_encrypted
 from repro.extension import PrivateEditingSession
+from repro.net.channel import Exchange
+from repro.net.http import HttpRequest, HttpResponse
 from repro.net.latency import WAN_2011
-from repro.security.adversary import EavesdropperTap
+from repro.security.adversary import EavesdropperTap, request_sightings
 
 SECRET = "Project Aurora launches May 3rd; budget 4.2M."
 
@@ -48,6 +51,44 @@ class TestConfidentiality:
         session.save()
         assert session.text == SECRET + " (draft)"
         assert session.complaints == []
+
+
+class TestLeakMatcher:
+    """One matcher for plaintext on the wire, raw or form-encoded: a
+    phrase with a space travels as ``zebrafish+manifesto`` in a form
+    body, where a verbatim scan cannot see it."""
+
+    PHRASE = "zebrafish manifesto"
+
+    def test_tap_sees_form_encoded_plaintext(self):
+        session = PrivateEditingSession("doc", "pw",
+                                        extension_enabled=False)
+        tap = EavesdropperTap()
+        session.channel.add_tap(tap)
+        session.open()
+        session.type_text(0, self.PHRASE + " draft")
+        session.save()
+        assert not any(self.PHRASE in e.request.body
+                       for e in tap.exchanges)
+        assert tap.plaintext_sightings(self.PHRASE) >= 1
+
+    def test_counts_each_side_once(self):
+        body = encode_form({"docContents": self.PHRASE})
+        tap = EavesdropperTap()
+        tap(Exchange(HttpRequest("POST", "http://h/p?q=" + self.PHRASE,
+                                 body=body),
+                     HttpResponse(200, self.PHRASE + " " + body), 0.0, 0.0))
+        assert tap.plaintext_sightings(self.PHRASE) == 2
+        assert tap.plaintext_sightings("absent") == 0
+
+    def test_bare_requests_use_the_same_match(self):
+        requests = [
+            HttpRequest("POST", "http://h/p",
+                        body=encode_form({"docContents": self.PHRASE})),
+            HttpRequest("GET", "http://h/p?doc=" + self.PHRASE),
+            HttpRequest("POST", "http://h/p", body="ZEBRAFISH"),
+        ]
+        assert request_sightings(requests, self.PHRASE) == 2
 
 
 class TestSessionLifecycle:
@@ -132,11 +173,13 @@ class TestDeltaTrafficShape:
         session = PrivateEditingSession(
             "doc", "pw", rng=DeterministicRandomSource(10),
         )
+        tap = EavesdropperTap()
+        session.channel.add_tap(tap)
         session.open()
         session.type_text(0, "x" * 5000)
         session.save()
-        full_bytes = session.channel.exchange_log[-1].request.wire_bytes
+        full_bytes = tap.exchanges[-1].request.wire_bytes
         session.type_text(2500, "y")
         session.save()
-        delta_bytes = session.channel.exchange_log[-1].request.wire_bytes
+        delta_bytes = tap.exchanges[-1].request.wire_bytes
         assert delta_bytes < full_bytes / 20

@@ -6,6 +6,7 @@ from repro.client.editor import EditorBuffer
 from repro.client.gdocs_client import GDocsClient
 from repro.errors import DeltaApplicationError, SessionError
 from repro.net.channel import Channel
+from repro.obs import capture
 from repro.services.gdocs.server import GDocsServer
 
 
@@ -115,9 +116,9 @@ class TestGDocsClientPlain:
     def test_word_count_is_client_side(self, client):
         client.open()
         client.type_text(0, "one two three")
-        before = len(client._channel.exchange_log)
-        assert client.word_count() == 3
-        assert len(client._channel.exchange_log) == before  # no traffic
+        with capture() as cap:
+            assert client.word_count() == 3
+        assert cap["net.exchanges"] == 0  # no traffic
 
 
 class TestConcurrentPlainClients:

@@ -22,17 +22,24 @@ from repro.fuzz.generators import (
     corpus_strings,
     generate_trace,
 )
+from repro.encoding.formenc import encode_form, quote
 from repro.fuzz.model import (
     InvariantViolation,
     Violation,
     apply_op,
+    check_no_leak,
     op_delta,
     resolve_pos,
 )
-from repro.fuzz.runner import FuzzRunner, execute_trace, run_trace
+from repro.fuzz.runner import SENTINEL, FuzzRunner, execute_trace, run_trace
 from repro.fuzz import runner as runner_mod
 from repro.fuzz.shrink import shrink_trace
+from repro.net.channel import Exchange
+from repro.net.http import HttpRequest, HttpResponse
 from repro.obs import default_registry
+from repro.security.adversary import EavesdropperTap
+from repro.services.gdocs import protocol
+from repro.services.gdocs.server import GDocsServer
 
 
 class TestGenerators:
@@ -133,6 +140,26 @@ class TestOracle:
             else:
                 assert delta.apply(text) == via_oracle
 
+    def test_leak_check_sees_form_encoded_sentinel(self):
+        """The sentinel has spaces, so a form body carries it as
+        ``leakcheck+sentinel+kilimanjaro``; the check must still see it,
+        in a captured exchange and in a request a fault plan saw."""
+        assert quote(SENTINEL) != SENTINEL
+        body = encode_form({"docContents": SENTINEL})
+        assert SENTINEL not in body
+        tap = EavesdropperTap()
+        tap(Exchange(HttpRequest("POST", "http://h/p", body=body),
+                     HttpResponse(200, "status=ok"), 0.0, 0.0))
+        with pytest.raises(InvariantViolation) as caught:
+            check_no_leak(tap, SENTINEL)
+        assert caught.value.violation.kind == "plaintext-leak"
+        with pytest.raises(InvariantViolation) as caught:
+            check_no_leak(EavesdropperTap(), SENTINEL,
+                          [HttpRequest("POST", "http://h/p", body=body)])
+        assert caught.value.violation.kind == "plaintext-leak"
+        check_no_leak(EavesdropperTap(), SENTINEL,
+                      [HttpRequest("POST", "http://h/p", body="A=B")])
+
     def test_violation_serializes(self):
         v = Violation(kind="oracle-divergence", step=3, detail="boom")
         assert json.loads(json.dumps(v.to_dict()))["kind"] == \
@@ -186,6 +213,33 @@ class TestRunner:
                           .read_text())
         assert data["violation"]["kind"] == "oracle-divergence"
         assert Trace.from_dict(data["trace"]).seed == 2
+
+    def test_fault_free_ack_divergence_is_a_violation(self, monkeypatch):
+        """One Ack whose content hash disagrees with the mirror, on a
+        trace with no fault plan: the session resyncs and converges, so
+        only the ``ack-divergence`` check can flag it."""
+        trace = Trace(seed=3, mode="session", init="fault free text",
+                      ops=(("i", 0, "more ", 0), ("s", 0),
+                           ("i", POS_SCALE, " tail", 0), ("s", 0)))
+        assert run_trace(trace) is None
+        real_ack = GDocsServer._ack
+        lied = []
+
+        def lying_ack(self, doc, conflict, *args, **kwargs):
+            response = real_ack(self, doc, conflict, *args, **kwargs)
+            if lied or conflict:
+                return response
+            lied.append(doc)
+            return response.with_form({
+                **response.form,
+                protocol.A_CONTENT_HASH: protocol.content_hash("forged"),
+            })
+
+        monkeypatch.setattr(GDocsServer, "_ack", lying_ack)
+        violation = run_trace(trace)
+        assert lied
+        assert violation is not None
+        assert violation.kind == "ack-divergence"
 
     def test_crash_wrapped_as_violation(self, monkeypatch):
         def exploding(trace):

@@ -80,10 +80,23 @@ def _echo_server(request: HttpRequest) -> HttpResponse:
 
 class TestChannel:
     def test_basic_exchange(self):
+        seen = []
         ch = Channel(_echo_server)
+        ch.add_tap(seen.append)
         resp = ch.send(HttpRequest("POST", "http://h/p", body="ping"))
         assert resp.body == "ping"
-        assert len(ch.exchange_log) == 1
+        [exchange] = seen
+        assert exchange.request.body == exchange.response.body == "ping"
+
+    def test_aggregates_count_every_exchange(self):
+        """The net.* metrics, not a per-channel log, are the record of
+        how much traffic a channel carried."""
+        ch = Channel(_echo_server)
+        with capture() as cap:
+            for _ in range(6):
+                ch.send(HttpRequest("POST", "http://h/p", body="x"))
+        assert cap["net.exchanges"] == 6
+        assert cap["net.latency_seconds"] == 6
 
     def test_clock_advances_per_exchange(self):
         ch = Channel(_echo_server, latency=WAN_2011(0))
@@ -112,12 +125,16 @@ class TestChannel:
             def on_response(self, request, response):
                 return response
 
+        seen = []
         ch = Channel(_echo_server)
         ch.set_mediator(DropAll())
-        with pytest.raises(BlockedRequestError):
-            ch.send(HttpRequest("POST", "http://h/p", body="x"))
-        assert len(ch.blocked_log) == 1
-        assert ch.exchange_log == []
+        ch.add_tap(seen.append)
+        with capture() as cap:
+            with pytest.raises(BlockedRequestError):
+                ch.send(HttpRequest("POST", "http://h/p", body="x"))
+        assert cap["net.blocked"] == 1
+        assert cap["net.exchanges"] == 0
+        assert seen == []
 
     def test_tap_sees_post_mediation_traffic(self):
         class Med:
@@ -161,45 +178,6 @@ class TestChannel:
         assert counted[0] == counted[1]
 
 
-class TestChannelRingBuffer:
-    def test_max_log_caps_exchange_log(self):
-        ch = Channel(_echo_server, max_log=3)
-        for i in range(7):
-            ch.send(HttpRequest("POST", "http://h/p", body=str(i)))
-        assert len(ch.exchange_log) == 3
-        assert [ex.request.body for ex in ch.exchange_log] == ["4", "5", "6"]
-
-    def test_max_log_caps_blocked_log(self):
-        class DropAll:
-            def on_request(self, request):
-                return None
-
-            def on_response(self, request, response):
-                return response
-
-        ch = Channel(_echo_server, max_log=2)
-        ch.set_mediator(DropAll())
-        for i in range(5):
-            with pytest.raises(BlockedRequestError):
-                ch.send(HttpRequest("POST", "http://h/p", body=str(i)))
-        assert [r.body for r in ch.blocked_log] == ["3", "4"]
-
-    def test_max_log_does_not_affect_aggregates(self):
-        from repro.obs import capture
-
-        ch = Channel(_echo_server, max_log=1)
-        with capture() as cap:
-            for _ in range(6):
-                ch.send(HttpRequest("POST", "http://h/p", body="x"))
-        assert len(ch.exchange_log) == 1
-        assert cap["net.exchanges"] == 6
-        assert cap["net.latency_seconds"] == 6
-
-    def test_invalid_max_log_rejected(self):
-        with pytest.raises(ValueError):
-            Channel(_echo_server, max_log=0)
-
-
 class TestUrlParseCache:
     def test_host_path_query_parse_once(self):
         from repro.obs import capture
@@ -235,12 +213,14 @@ class TestChannelWithFaults:
         from repro.errors import NetworkTimeoutError
         from repro.net.faults import FaultPlan, FaultSpec
 
+        seen = []
         plan = FaultPlan([FaultSpec(kind="drop", at=(0,))])
         ch = Channel(_echo_server, faults=plan)
+        ch.add_tap(seen.append)
         with pytest.raises(NetworkTimeoutError):
             ch.send(HttpRequest("POST", "http://h/p", body="x"))
-        assert len(ch.exchange_log) == 0   # nothing completed on the wire
-        assert len(plan.observed) == 1     # but an adversary saw it leave
+        assert seen == []                  # nothing completed on the wire
+        assert [r.body for r in plan.observed] == ["x"]  # but it left
 
     def test_fault_timeout_advances_channel_clock(self):
         from repro.errors import NetworkTimeoutError

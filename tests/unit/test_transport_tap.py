@@ -15,10 +15,11 @@ import pytest
 
 from repro.extension.session import PrivateEditingSession
 from repro.net.server import ServerThread
+from repro.net import channel
 from repro.net.transport import (
     AsyncioSocketTransport,
+    Exchange,
     InProcessTransport,
-    WireExchange,
 )
 from repro.security import EavesdropperTap
 from repro.services import registry
@@ -50,7 +51,7 @@ def test_tap_observes_real_socket_frames(served):
         transport.close()
     # the tap saw the live traffic: at least open + save round trips
     assert len(tap.exchanges) >= 2
-    assert all(isinstance(e, WireExchange) for e in tap.exchanges)
+    assert all(isinstance(e, Exchange) for e in tap.exchanges)
     # ...and classified a real update out of it
     assert any(u.kind in ("full", "delta")
                for u in tap.observed_updates())
@@ -72,11 +73,11 @@ def test_tap_observes_in_process_frames():
 
 
 def test_wire_exchange_quacks_like_a_channel_exchange():
-    """EavesdropperTap was written against Channel's Exchange; the
-    transport-level WireExchange must satisfy the same surface."""
-    exchange = WireExchange.__new__(WireExchange)
+    """A transport's taps and a channel's taps receive one type, so
+    every EavesdropperTap reader works on both."""
+    assert channel.Exchange is Exchange
     for field in ("request", "response", "sent_at", "latency"):
-        assert field in WireExchange.__dataclass_fields__, field
+        assert field in Exchange.__dataclass_fields__, field
 
 
 def test_taps_default_empty_and_accumulate():

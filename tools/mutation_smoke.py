@@ -8,7 +8,8 @@ and runs the same ``repro fuzz`` invocation against the clean tree and
 each mutant:
 
 * clean tree  → exit 0 (no violations), or the harness is flaky;
-* mutant tree → exit != 0, or the harness is blind to that bug class.
+* mutant tree → exit != 0 with a violation of the entry's expected
+  kind, or the harness is blind to that bug class.
 
 The mutation table covers one oracle per stack layer:
 
@@ -38,6 +39,13 @@ The mutation table covers one oracle per stack layer:
     its remembered ``(rev, link)`` anchor — exactly the check that
     makes a *forged* self-consistent chain detectable.  The workspace
     profile's rollback-attacking server must flag it (``audit-miss``).
+``full-save-plaintext-echo``
+    The extension's full-save rewrite
+    (``GDocsExtension._rewrite_full_save``) also sends the plaintext in
+    an extra ``echo`` form field.  Nothing but the leak scan can see
+    it — the store still holds only ciphertext — and the sentinel
+    travels form-encoded (``leakcheck+sentinel+kilimanjaro``), so the
+    session-mode tap must flag it (``plaintext-leak``).
 
 Mutations are applied textually so the tool exercises the real on-disk
 pipeline end to end; the original tree is never touched.
@@ -73,6 +81,7 @@ class Mutation:
     fuzz_args: tuple             #: extra ``repro fuzz`` arguments
     iters: int                   #: iterations (clean and mutant runs)
     blind_to: str                #: what a survival would mean
+    caught_as: tuple             #: violation kinds that count as a catch
 
 
 MUTATIONS = (
@@ -89,6 +98,7 @@ MUTATIONS = (
         fuzz_args=("--profile", "engine", "--scheme", "rpc"),
         iters=25,
         blind_to="a broken RPC length amendment",
+        caught_as=("roundtrip",),
     ),
     Mutation(
         name="burst-cdelta-rank-shift",
@@ -100,6 +110,7 @@ MUTATIONS = (
         fuzz_args=("--profile", "burst"),
         iters=25,
         blind_to="a mis-offset cdelta for later clusters of a burst",
+        caught_as=("cdelta-divergence", "crash-DeltaApplicationError"),
     ),
     Mutation(
         name="stored-wire-stale",
@@ -110,6 +121,7 @@ MUTATIONS = (
         fuzz_args=("--profile", "engine"),
         iters=25,
         blind_to="a stored-wire cache that misses a cdelta",
+        caught_as=("wire-cache-drift",),
     ),
     Mutation(
         name="catalog-lookup-drops-posting",
@@ -120,6 +132,7 @@ MUTATIONS = (
         fuzz_args=("--profile", "workspace"),
         iters=6,
         blind_to="a catalog that withholds search postings",
+        caught_as=("search-mismatch",),
     ),
     Mutation(
         name="workspace-ignores-trusted-link",
@@ -130,6 +143,19 @@ MUTATIONS = (
         fuzz_args=("--profile", "workspace"),
         iters=6,
         blind_to="a forged (self-consistent) audit chain",
+        caught_as=("audit-miss",),
+    ),
+    Mutation(
+        name="full-save-plaintext-echo",
+        file="repro/extension/gdocs_ext.py",
+        target="        fields = {**form, protocol.F_DOC_CONTENTS: ciphertext}",
+        mutant=("        fields = {**form, protocol.F_DOC_CONTENTS: "
+                "ciphertext, \"echo\": plaintext}"
+                "  # MUTANT: plaintext echoed"),
+        fuzz_args=("--mode", "session"),
+        iters=10,
+        blind_to="plaintext sent form-encoded beside the ciphertext",
+        caught_as=("plaintext-leak",),
     ),
 )
 
@@ -182,12 +208,17 @@ def check_mutation(mutation: Mutation, iters: int, seed: int) -> int:
               f"tree without a single violation — the oracle is blind "
               f"to {mutation.blind_to}.", file=sys.stderr)
         return 1
-    caught = [line for line in output.splitlines() if "violation" in
-              line.lower() or "[" in line]
+    caught = [line for line in output.splitlines()
+              if any(f"[{kind}]" in line for kind in mutation.caught_as)]
+    if not caught:
+        print(f"MUTATION SURVIVED: [{mutation.name}] the mutant failed, "
+              f"but never as {' or '.join(mutation.caught_as)}:",
+              file=sys.stderr)
+        print(output, file=sys.stderr)
+        return 1
     print(f"[{mutation.name}] mutant tree: exit {code} — harness "
           f"caught {mutation.blind_to}")
-    if caught:
-        print(f"  e.g. {caught[0].strip()[:100]}")
+    print(f"  e.g. {caught[0].strip()[:100]}")
     return 0
 
 
